@@ -14,6 +14,11 @@ Three jobs:
   any change that silently drops the AC engine off its block-factorized
   path or the eye engine off its superposition path fails
   deterministically on every machine.
+* Time ``nway_partition`` at the 9-die perf-smoke point
+  (``partition_nway_s``, 2x gate) and gate its FM move count
+  (``partition_fm_moves``) exactly: the count equals the string-keyed
+  oracle's (``tests/oracles``), so any change to the FM's move sequence
+  fails on every machine.
 * Time the transient engine on a fixed PDN-style circuit and fail if it
   runs more than ``REGRESSION_FACTOR`` slower than the recorded baseline
   in ``baseline.json``.  Re-record with ``REPRO_PERF_REBASE=1`` after an
@@ -290,4 +295,46 @@ def test_nchiplet_flow_not_regressed():
     baseline = _gate_or_rebase("flow_nchiplet_s", elapsed)
     assert elapsed <= baseline * REGRESSION_FACTOR, (
         f"9-chiplet hex flow took {elapsed:.4f}s vs baseline "
+        f"{baseline:.4f}s (>{REGRESSION_FACTOR}x regression)")
+
+
+def test_partition_nway_not_regressed():
+    """The N-way partitioner at the 9-die perf-smoke point: wall time
+    gated at 2x, FM move count gated exactly (a deterministic work
+    counter that equals the string-keyed oracle's count)."""
+    from repro.arch.generate import generate_monolithic_netlist
+    from repro.partition.multiway import nway_partition
+
+    netlist = generate_monolithic_netlist(scale=0.02, seed=7)
+    t0 = time.perf_counter()
+    result = nway_partition(netlist, 9, seed=7)
+    elapsed = time.perf_counter() - t0
+    assert result.k == 9
+
+    os.makedirs(RESULTS_DIR, exist_ok=True)
+    bench_path = os.path.join(RESULTS_DIR, "BENCH_flow.json")
+    payload = {}
+    if os.path.exists(bench_path):
+        with open(bench_path) as fh:
+            payload = json.load(fh)
+    payload["partition"] = {
+        "scale": 0.02,
+        "seed": 7,
+        "k": 9,
+        "nway_s": round(elapsed, 3),
+        "fm_moves": result.fm_moves,
+        "cut_size": result.cut_size,
+    }
+    with open(bench_path, "w") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+
+    moves = _gate_or_rebase("partition_fm_moves", result.fm_moves,
+                            digits=0)
+    assert result.fm_moves == moves, (
+        f"nway_partition made {result.fm_moves} FM moves vs the recorded "
+        f"{moves} — the FM move sequence changed")
+    baseline = _gate_or_rebase("partition_nway_s", elapsed)
+    assert elapsed <= baseline * REGRESSION_FACTOR, (
+        f"9-way partition took {elapsed:.4f}s vs baseline "
         f"{baseline:.4f}s (>{REGRESSION_FACTOR}x regression)")

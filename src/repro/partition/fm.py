@@ -9,15 +9,22 @@ cut nets under an area-balance constraint.
 On the OpenPiton tile the expected behaviour — asserted by tests — is that
 FM rediscovers a cut close to the L3 interface, because the synthetic
 netlist has the same locality structure as the real design.
+
+FM runs on the integer CSR hypergraph of :mod:`repro.partition.hypergraph`
+(see GUIDE §11, "Partitioner internals", for the tie-break contract that
+keeps every move identical to the original name-keyed implementation).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set
+
+import numpy as np
 
 from ..arch.netlist import Netlist
+from .hypergraph import Hypergraph, SubHypergraph
 
 
 @dataclass
@@ -29,12 +36,15 @@ class PartitionResult:
         cut_nets: Names of nets with pins in both partitions.
         passes: Number of FM passes executed.
         cut_history: Cut size after each pass (monotone non-increasing).
+        fm_moves: Tentative moves, summed over passes and restarts — a
+            deterministic work counter.
     """
 
     assignment: Dict[str, int]
     cut_nets: Set[str]
     passes: int
     cut_history: List[int] = field(default_factory=list)
+    fm_moves: int = 0
 
     @property
     def cut_size(self) -> int:
@@ -46,89 +56,232 @@ class PartitionResult:
         return [n for n, p in self.assignment.items() if p == partition]
 
 
-def _net_distribution(netlist: Netlist,
-                      assignment: Dict[str, int]) -> Dict[str, List[int]]:
-    """For each net: [pins in partition 0, pins in partition 1]."""
-    dist: Dict[str, List[int]] = {}
-    for net in netlist.nets.values():
-        counts = [0, 0]
-        endpoints = ([net.driver] if net.driver else []) + net.sinks
-        for e in endpoints:
-            counts[assignment[e]] += 1
-        dist[net.name] = counts
-    return dist
-
-
 def cut_nets(netlist: Netlist, assignment: Dict[str, int]) -> Set[str]:
-    """Nets with endpoints on both sides of the given assignment."""
-    out: Set[str] = set()
-    for net, (c0, c1) in _net_distribution(netlist, assignment).items():
-        if c0 > 0 and c1 > 0:
-            out.add(net)
-    return out
+    """Nets with endpoints in more than one part of the assignment."""
+    graph = Hypergraph(netlist)
+    return graph.cut_names(graph.parts_of(assignment))
 
 
-def _areas(netlist: Netlist) -> Dict[str, float]:
-    return {name: netlist.cell(name).area_um2 for name in netlist.instances}
+@dataclass
+class FMRun:
+    """One FM run on a sub-hypergraph, in local indices.
 
-
-class _GainBuckets:
-    """FM gain-bucket structure with O(1) best-gain retrieval.
-
-    Buckets are insertion-ordered (dicts used as ordered sets), so
-    equal-gain ties break by insertion order and the whole partitioner
-    is reproducible regardless of ``PYTHONHASHSEED``.
+    ``order`` is the random initial assignment's shuffled order (``None``
+    when the run started from a given assignment).
     """
 
-    def __init__(self, max_gain: int):
-        self.max_gain = max_gain
-        self.buckets: List[List[Dict[str, None]]] = [
-            [{} for _ in range(2 * max_gain + 1)] for _ in range(2)]
-        self.gain_of: Dict[str, int] = {}
-        self.best: List[int] = [-1, -1]
+    part: List[int]
+    cut: int
+    passes: int
+    history: List[int]
+    moves: int
+    order: Optional[List[int]]
 
-    def _slot(self, gain: int) -> int:
-        return gain + self.max_gain
 
-    def insert(self, name: str, part: int, gain: int) -> None:
-        """Insert a cell at a gain into its side's buckets."""
-        gain = max(-self.max_gain, min(self.max_gain, gain))
-        self.gain_of[name] = gain
-        slot = self._slot(gain)
-        self.buckets[part][slot][name] = None
-        if slot > self.best[part]:
-            self.best[part] = slot
+def _fm_run(g: SubHypergraph, start: Optional[List[int]],
+            balance_tolerance: float, max_passes: int, seed: int) -> FMRun:
+    """One FM run from ``start`` (or a seeded random balanced split)."""
+    n = len(g.areas)
+    areas = g.areas
+    rank = g.name_rank
+    net_pins = g.net_pins
+    cell_nets = g.cell_nets
+    total_area = sum(areas)
+    lo = (0.5 - balance_tolerance) * total_area
+    hi = (0.5 + balance_tolerance) * total_area
 
-    def remove(self, name: str, part: int) -> None:
-        """Remove a cell from the buckets."""
-        gain = self.gain_of.pop(name)
-        self.buckets[part][self._slot(gain)].pop(name, None)
+    order: Optional[List[int]] = None
+    if start is None:
+        order = list(range(n))
+        random.Random(seed).shuffle(order)
+        assign = [0] * n
+        acc = 0.0
+        for c in order:
+            if acc < total_area / 2:
+                acc += areas[c]
+            else:
+                assign[c] = 1
+    else:
+        assign = list(start)
 
-    def update(self, name: str, part: int, delta: int) -> None:
-        """Shift a cell's gain by delta."""
-        old = self.gain_of[name]
-        new = max(-self.max_gain, min(self.max_gain, old + delta))
-        if new == old:
-            return
-        self.buckets[part][self._slot(old)].pop(name, None)
-        self.gain_of[name] = new
-        slot = self._slot(new)
-        self.buckets[part][slot][name] = None
-        if slot > self.best[part]:
-            self.best[part] = slot
+    M = g.max_deg
+    T = 2 * M
+    best = assign[:]
+    best_cut = g.cut_size(np.asarray(assign))
+    history: List[int] = []
+    passes = 0
+    moves_total = 0
+    # Distinct cells per net: once all of a net's cells are locked its
+    # neighbour updates are no-ops and are skipped.
+    cells_on = np.bincount(g.inc_net, minlength=len(g.net_deg)).tolist()
 
-    def pop_best(self, part: int) -> Optional[Tuple[str, int]]:
-        """Pop the highest-gain unlocked cell of one side."""
-        while self.best[part] >= 0 and not self.buckets[part][self.best[part]]:
-            self.best[part] -= 1
-        if self.best[part] < 0:
-            return None
-        slot = self.best[part]
-        # LIFO tie-breaking (classic FM): most recently touched first.
-        name = next(reversed(self.buckets[part][slot]))
-        del self.buckets[part][slot][name]
-        gain = self.gain_of.pop(name)
-        return name, gain
+    for _pass in range(max_passes):
+        passes += 1
+        part_arr = np.asarray(assign)
+        c0, c1 = g.net_counts(part_arr)
+        part_area = [0.0, 0.0]
+        for c in range(n):
+            part_area[assign[c]] += areas[c]
+
+        # Initial gains, clamped to [-M, M] like every update and kept
+        # as bucket slots ``gain + M``.
+        inc_part = part_arr[g.inc_cell]
+        n0, n1 = c0[g.inc_net], c1[g.inc_net]
+        own = np.where(inc_part == 0, n0, n1)
+        other = np.where(inc_part == 0, n1, n0)
+        contrib = (own == 1).astype(np.int64) - (other == 0)
+        slot = (np.clip(np.bincount(g.inc_cell, weights=contrib,
+                                    minlength=n), -M, M) + M
+                ).astype(np.int64).tolist()
+        # Insertion-ordered buckets (dicts as ordered sets) per side and
+        # slot; the tail is the LIFO pick.
+        buckets = [[{} for _ in range(T + 1)] for _ in range(2)]
+        top = [-1, -1]
+        for c in range(n):
+            p = assign[c]
+            s = slot[c]
+            buckets[p][s][c] = None
+            if s > top[p]:
+                top[p] = s
+
+        state = assign[:]  # side of an unlocked cell, 2 once locked
+        free = cells_on[:]
+        counts = [c0.tolist(), c1.tolist()]
+        cur_cut = int(np.count_nonzero((c0 > 0) & (c1 > 0)))
+        best_in_pass = cur_cut
+        best_len = 0
+        moves: List[int] = []
+
+        while True:
+            # Highest-gain legal move: each side offers the tail of its
+            # best non-empty bucket; equal gains go to the larger name.
+            pick = -1
+            for p in (0, 1):
+                bk = buckets[p]
+                s = top[p]
+                while s >= 0 and not bk[s]:
+                    s -= 1
+                top[p] = s
+                if s < 0:
+                    continue
+                c = next(reversed(bk[s]))
+                a = areas[c]
+                if part_area[1 - p] + a <= hi and part_area[p] - a >= lo:
+                    if pick < 0 or s > pick_s or (s == pick_s
+                                                  and rank[c] > rank[pick]):
+                        pick, src, pick_s = c, p, s
+            if pick < 0:
+                break
+            c = pick
+            del buckets[src][pick_s][c]
+            dst = 1 - src
+            state[c] = 2
+            moves.append(c)
+            a = areas[c]
+            part_area[src] -= a
+            part_area[dst] += a
+            cur_cut -= pick_s - M
+            c_src = counts[src]
+            c_dst = counts[dst]
+            b_src = buckets[src]
+            b_dst = buckets[dst]
+            # Incremental gain updates for neighbours on touched nets,
+            # judged on the pin counts before (d) and after (r) the move.
+            for e in cell_nets[c]:
+                d = c_dst[e]
+                c_dst[e] = d + 1
+                r = c_src[e] - 1
+                c_src[e] = r
+                f = free[e] - 1
+                free[e] = f
+                if not f:
+                    continue
+                pins = net_pins[e]
+                if d == 0:
+                    for o in pins:
+                        st = state[o]
+                        if st != 2:
+                            s = slot[o]
+                            if s < T:
+                                bk = buckets[st]
+                                del bk[s][o]
+                                s += 1
+                                bk[s][o] = None
+                                slot[o] = s
+                                if s > top[st]:
+                                    top[st] = s
+                elif d == 1:
+                    for o in pins:
+                        if state[o] == dst:
+                            s = slot[o]
+                            if s:
+                                del b_dst[s][o]
+                                s -= 1
+                                b_dst[s][o] = None
+                                slot[o] = s
+                if r == 0:
+                    for o in pins:
+                        st = state[o]
+                        if st != 2:
+                            s = slot[o]
+                            if s:
+                                bk = buckets[st]
+                                del bk[s][o]
+                                s -= 1
+                                bk[s][o] = None
+                                slot[o] = s
+                elif r == 1:
+                    for o in pins:
+                        if state[o] == src:
+                            s = slot[o]
+                            if s < T:
+                                del b_src[s][o]
+                                s += 1
+                                b_src[s][o] = None
+                                slot[o] = s
+                                if s > top[src]:
+                                    top[src] = s
+            if cur_cut < best_in_pass:
+                best_in_pass = cur_cut
+                best_len = len(moves)
+
+        moves_total += len(moves)
+        # Roll forward only the prefix of moves that reached the best cut.
+        for c in moves[:best_len]:
+            assign[c] = 1 - assign[c]
+        pass_cut = g.cut_size(np.asarray(assign))
+        history.append(pass_cut)
+        if pass_cut < best_cut:
+            best_cut = pass_cut
+            best = assign[:]
+        if not best_len:
+            break
+
+    return FMRun(part=best, cut=best_cut, passes=passes, history=history,
+                moves=moves_total, order=order)
+
+
+def fm_run(g: SubHypergraph, start: Optional[List[int]],
+           balance_tolerance: float, max_passes: int, seed: int,
+           restarts: int = 3) -> FMRun:
+    """FM on a sub-hypergraph, from ``start`` or from random restarts.
+
+    With ``start`` None and ``restarts > 1``, restart ``r`` uses seed
+    ``seed + 7919 * r``; the first run with the smallest cut wins, and
+    its ``moves`` become the sum over every run.
+    """
+    if start is not None or restarts <= 1:
+        return _fm_run(g, start, balance_tolerance, max_passes, seed)
+    best: Optional[FMRun] = None
+    moves = 0
+    for r in range(restarts):
+        cand = _fm_run(g, None, balance_tolerance, max_passes,
+                       seed + 7919 * r)
+        moves += cand.moves
+        if best is None or cand.cut < best.cut:
+            best = cand
+    best.moves = moves
+    return best
 
 
 def fm_bipartition(netlist: Netlist,
@@ -154,169 +307,43 @@ def fm_bipartition(netlist: Netlist,
 
     Returns:
         The best assignment found; ``cut_history`` never increases.
+
+    Raises:
+        ValueError: On fewer than two instances, a tolerance outside
+            ``(0, 0.5)``, or an ``initial`` assignment that names an
+            unknown instance, uses a part id other than 0/1, or misses
+            an instance.
     """
-    if initial is None and restarts > 1:
-        best: Optional[PartitionResult] = None
-        for r in range(restarts):
-            cand = fm_bipartition(netlist, initial=None,
-                                  balance_tolerance=balance_tolerance,
-                                  max_passes=max_passes,
-                                  seed=seed + 7919 * r, restarts=1)
-            if best is None or cand.cut_size < best.cut_size:
-                best = cand
-        return best
-    names = list(netlist.instances)
-    if len(names) < 2:
+    if len(netlist.instances) < 2:
         raise ValueError("need at least two instances to bipartition")
     if not 0 < balance_tolerance < 0.5:
         raise ValueError("balance_tolerance must be in (0, 0.5)")
-    rng = random.Random(seed)
-    areas = _areas(netlist)
-    total_area = sum(areas.values())
-    lo = (0.5 - balance_tolerance) * total_area
-    hi = (0.5 + balance_tolerance) * total_area
-
-    if initial is None:
-        assignment = {}
-        shuffled = names[:]
-        rng.shuffle(shuffled)
-        acc = 0.0
-        for name in shuffled:
-            part = 0 if acc < total_area / 2 else 1
-            assignment[name] = part
-            if part == 0:
-                acc += areas[name]
-    else:
-        assignment = dict(initial)
-        missing = [n for n in names if n not in assignment]
+    graph = Hypergraph(netlist)
+    start = None
+    if initial is not None:
+        for name, part in initial.items():
+            if name not in netlist.instances:
+                raise ValueError(f"initial assignment names unknown "
+                                 f"instance {name!r}")
+            if part not in (0, 1):
+                raise ValueError(f"initial assignment puts {name!r} in "
+                                 f"part {part!r}; parts are 0 and 1")
+        missing = [n for n in graph.names if n not in initial]
         if missing:
             raise ValueError(f"initial assignment missing {len(missing)} "
                              f"instances, e.g. {missing[0]!r}")
-
-    # Sorted so neighbour-update order (and hence tie-breaking) is
-    # independent of set iteration order / PYTHONHASHSEED.
-    nets_of = {n: sorted(netlist.nets_of(n)) for n in names}
-    max_deg = max((len(v) for v in nets_of.values()), default=1)
-    endpoints = {net.name: ([net.driver] if net.driver else []) + net.sinks
-                 for net in netlist.nets.values()}
-
-    history: List[int] = []
-    best_assignment = dict(assignment)
-    best_cut = len(cut_nets(netlist, assignment))
-    passes_done = 0
-
-    for _pass in range(max_passes):
-        passes_done += 1
-        dist = _net_distribution(netlist, assignment)
-        part_area = [0.0, 0.0]
-        for n in names:
-            part_area[assignment[n]] += areas[n]
-
-        buckets = _GainBuckets(max_deg)
-        for n in names:
-            buckets.insert(n, assignment[n], _gain(n, assignment, dist,
-                                                   nets_of))
-        locked: Set[str] = set()
-        current = dict(assignment)
-        cur_cut = len(cut_nets(netlist, current))
-        best_in_pass = cur_cut
-        best_moves: List[str] = []
-        moves: List[str] = []
-
-        while len(locked) < len(names):
-            move = _select_move(buckets, part_area, areas, lo, hi)
-            if move is None:
-                break
-            name, gain, src = move
-            dst = 1 - src
-            locked.add(name)
-            moves.append(name)
-            part_area[src] -= areas[name]
-            part_area[dst] += areas[name]
-            cur_cut -= gain
-            # Incremental gain updates for neighbours on touched nets.
-            for net_name in nets_of[name]:
-                counts = dist[net_name]
-                pins = endpoints[net_name]
-                # Before the move.
-                if counts[dst] == 0:
-                    for other in pins:
-                        if other not in locked:
-                            buckets.update(other, current[other], +1)
-                elif counts[dst] == 1:
-                    for other in pins:
-                        if other not in locked and current[other] == dst:
-                            buckets.update(other, dst, -1)
-                counts[src] -= 1
-                counts[dst] += 1
-                # After the move.
-                if counts[src] == 0:
-                    for other in pins:
-                        if other not in locked:
-                            buckets.update(other, current[other], -1)
-                elif counts[src] == 1:
-                    for other in pins:
-                        if other not in locked and current[other] == src:
-                            buckets.update(other, src, +1)
-            current[name] = dst
-            if cur_cut < best_in_pass:
-                best_in_pass = cur_cut
-                best_moves = moves[:]
-
-        # Roll forward only the prefix of moves that reached the best cut.
-        applied = set(best_moves)
-        for name in applied:
-            assignment[name] = 1 - assignment[name]
-        pass_cut = len(cut_nets(netlist, assignment))
-        history.append(pass_cut)
-        if pass_cut < best_cut:
-            best_cut = pass_cut
-            best_assignment = dict(assignment)
-        if not applied:
-            break
-
-    return PartitionResult(assignment=best_assignment,
-                           cut_nets=cut_nets(netlist, best_assignment),
-                           passes=passes_done, cut_history=history)
-
-
-def _gain(name: str, assignment: Dict[str, int],
-          dist: Dict[str, List[int]], nets_of: Dict[str, Set[str]]) -> int:
-    """FM gain of moving one cell: cut nets removed minus created."""
-    src = assignment[name]
-    dst = 1 - src
-    g = 0
-    for net in nets_of[name]:
-        counts = dist[net]
-        if counts[dst] == 0:
-            g -= 1
-        if counts[src] == 1:
-            g += 1
-    return g
-
-
-def _select_move(buckets: _GainBuckets, part_area: List[float],
-                 areas: Dict[str, float], lo: float,
-                 hi: float) -> Optional[Tuple[str, int, int]]:
-    """Pick the highest-gain legal move from either side."""
-    candidates = []
-    for part in (0, 1):
-        # Peek: pop then maybe push back.
-        got = buckets.pop_best(part)
-        if got is None:
-            continue
-        name, gain = got
-        dst_area = part_area[1 - part] + areas[name]
-        src_area = part_area[part] - areas[name]
-        if dst_area <= hi and src_area >= lo:
-            candidates.append((gain, name, part))
-        else:
-            buckets.insert(name, part, gain)
-    if not candidates:
-        return None
-    candidates.sort(reverse=True)
-    gain, name, part = candidates[0]
-    # Push back the unused candidate.
-    for g2, n2, p2 in candidates[1:]:
-        buckets.insert(n2, p2, g2)
-    return name, gain, part
+        start = [int(initial[n]) for n in graph.names]
+    g = graph.sub(np.arange(len(graph)))
+    run = fm_run(g, start, balance_tolerance, max_passes, seed, restarts)
+    names = graph.names
+    if run.order is None:
+        part_of = dict(zip(names, run.part))
+        assignment = {n: part_of[n] for n in initial}
+    else:
+        assignment = {names[c]: run.part[c] for c in run.order}
+    c0, c1 = g.net_counts(np.asarray(run.part))
+    nets = g.nets[(c0 > 0) & (c1 > 0)]
+    return PartitionResult(assignment=assignment,
+                           cut_nets={graph.net_names[e] for e in nets},
+                           passes=run.passes, cut_history=run.history,
+                           fm_moves=run.moves)

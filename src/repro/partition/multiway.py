@@ -1,19 +1,30 @@
-"""Multi-way partitioning by recursive bisection.
+"""Multi-way partitioning: recursive FM bisection plus a pairwise FM sweep.
 
 The paper splits each tile two ways (logic/memory); finer chipletization
 — its natural follow-on — needs k-way partitioning.  This module builds
-k-way partitions by recursive FM bisection with area balancing, the
-standard production approach (hMETIS-style without the multilevel
-coarsening).
+k parts by recursive FM bisection with area balancing
+(:func:`recursive_bisection`), then refines them by re-bipartitioning
+every part pair's union with FM and keeping strict cut improvements
+(:func:`nway_partition`).  There is no multilevel coarsening and no
+k-way boundary refinement: every FM run is flat.
+
+All of it runs on the netlist's integer CSR hypergraph
+(:mod:`repro.partition.hypergraph`): sub-problems are index masks, cut
+counts are vectorized, and no sub-netlist is built.  The pair sweep
+skips a pair whose parts share no net — its FM run would start at cut 0
+and could not change the result (GUIDE §11, "Partitioner internals").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
+
+import numpy as np
 
 from ..arch.netlist import Netlist
-from .fm import cut_nets, fm_bipartition
+from .fm import cut_nets, fm_run
+from .hypergraph import Hypergraph
 
 
 @dataclass
@@ -24,11 +35,14 @@ class MultiwayResult:
         assignment: instance → part id in [0, k).
         k: Number of parts.
         cut_nets: Nets spanning more than one part.
+        fm_moves: Tentative FM moves over every bisection and pair run —
+            a deterministic work counter.
     """
 
     assignment: Dict[str, int]
     k: int
     cut_nets: Set[str]
+    fm_moves: int = 0
 
     @property
     def cut_size(self) -> int:
@@ -50,13 +64,53 @@ class MultiwayResult:
 def multiway_cut_nets(netlist: Netlist,
                       assignment: Dict[str, int]) -> Set[str]:
     """Nets whose pins span two or more parts."""
-    out: Set[str] = set()
-    for net in netlist.nets.values():
-        endpoints = ([net.driver] if net.driver else []) + net.sinks
-        parts = {assignment[e] for e in endpoints}
-        if len(parts) > 1:
-            out.add(net.name)
-    return out
+    return cut_nets(netlist, assignment)
+
+
+def _bisect(graph: Hypergraph, k: int, balance_tolerance: float,
+            seed: int, max_passes: int) -> Tuple[np.ndarray, int]:
+    """Recursive bisection on the CSR: dense part ids and FM moves."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if k > len(graph):
+        raise ValueError("more parts than instances")
+    if k > 1 and not 0 < balance_tolerance < 0.5:
+        raise ValueError("balance_tolerance must be in (0, 0.5)")
+    part = np.zeros(len(graph), dtype=np.int64)
+    next_id = 1
+    moves = 0
+
+    def split(cells: np.ndarray, parts: int, part_id: int,
+              depth: int) -> None:
+        nonlocal next_id, moves
+        if parts <= 1 or len(cells) < 2:
+            return
+        left_parts = parts // 2
+        right_parts = parts - left_parts
+        run = fm_run(graph.sub(cells), None, balance_tolerance, max_passes,
+                     seed + 31 * depth + part_id)
+        moves += run.moves
+        side = np.asarray(run.part)
+        side0, side1 = cells[side == 0], cells[side == 1]
+        # Keep the larger side where more parts are needed.
+        if (len(side1) > len(side0)) != (right_parts > left_parts):
+            side0, side1 = side1, side0
+        new_id = next_id
+        next_id += 1
+        part[side1] = new_id
+        split(side0, left_parts, part_id, depth + 1)
+        split(side1, right_parts, new_id, depth + 1)
+
+    split(np.arange(len(graph)), k, 0, 0)
+    # Densify part ids.
+    return np.unique(part, return_inverse=True)[1].reshape(-1), moves
+
+
+def _result(graph: Hypergraph, part: np.ndarray, k: int,
+            moves: int) -> MultiwayResult:
+    return MultiwayResult(assignment=dict(zip(graph.names, part.tolist())),
+                          k=k, cut_nets=graph.cut_names(part),
+                          fm_moves=moves)
 
 
 def recursive_bisection(netlist: Netlist, k: int,
@@ -79,44 +133,9 @@ def recursive_bisection(netlist: Netlist, k: int,
     Returns:
         A :class:`MultiwayResult`; part ids are dense in [0, k).
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k > len(netlist.instances):
-        raise ValueError("more parts than instances")
-
-    assignment: Dict[str, int] = {n: 0 for n in netlist.instances}
-    next_id = [1]
-
-    def split(names: List[str], parts: int, part_id: int,
-              depth: int) -> None:
-        if parts <= 1 or len(names) < 2:
-            return
-        left_parts = parts // 2
-        right_parts = parts - left_parts
-        sub = netlist.subset(names, name=f"part{part_id}")
-        result = fm_bipartition(sub,
-                                balance_tolerance=balance_tolerance,
-                                max_passes=max_passes,
-                                seed=seed + 31 * depth + part_id)
-        side0 = result.side(0)
-        side1 = result.side(1)
-        # Keep the larger side where more parts are needed.
-        if (len(side1) > len(side0)) != (right_parts > left_parts):
-            side0, side1 = side1, side0
-        new_id = next_id[0]
-        next_id[0] += 1
-        for n in side1:
-            assignment[n] = new_id
-        split(side0, left_parts, part_id, depth + 1)
-        split(side1, right_parts, new_id, depth + 1)
-
-    split(list(netlist.instances), k, 0, 0)
-    # Densify part ids.
-    used = sorted({p for p in assignment.values()})
-    remap = {old: new for new, old in enumerate(used)}
-    assignment = {n: remap[p] for n, p in assignment.items()}
-    return MultiwayResult(assignment=assignment, k=len(used),
-                          cut_nets=multiway_cut_nets(netlist, assignment))
+    graph = Hypergraph(netlist)
+    part, moves = _bisect(graph, k, balance_tolerance, seed, max_passes)
+    return _result(graph, part, int(part.max()) + 1, moves)
 
 
 def nway_partition(netlist: Netlist, k: int,
@@ -131,7 +150,8 @@ def nway_partition(netlist: Netlist, k: int,
     strictly lowers the total multiway cut.  The result is therefore
     never worse than recursive bisection alone (the property the
     N-chiplet tests pin), and at ``k == 2`` the refinement degenerates
-    to a single FM polish of the bisection.
+    to a single FM polish of the bisection.  A pair whose parts share no
+    net is skipped: FM would start it at cut 0 and keep it unchanged.
 
     Pair order and all tie-breaks follow parent-netlist instance order,
     so the assignment is byte-stable under ``PYTHONHASHSEED``.
@@ -146,35 +166,38 @@ def nway_partition(netlist: Netlist, k: int,
     Returns:
         A :class:`MultiwayResult` with dense part ids in ``[0, k)``.
     """
-    base = recursive_bisection(netlist, k,
-                               balance_tolerance=balance_tolerance,
-                               seed=seed, max_passes=max_passes)
-    assignment = dict(base.assignment)
-    best_cut = base.cut_size
-    for i in range(base.k):
-        for j in range(i + 1, base.k):
-            union = [n for n in netlist.instances
-                     if assignment[n] in (i, j)]
-            if len(union) < 2:
+    graph = Hypergraph(netlist)
+    part, moves = _bisect(graph, k, balance_tolerance, seed, max_passes)
+    parts = int(part.max()) + 1
+    best_cut = graph.cut_size(part)
+    nets = len(graph.net_deg)
+    pin_part = part[graph.pin_cell]
+    for i in range(parts):
+        for j in range(i + 1, parts):
+            in_i, in_j = part == i, part == j
+            if not in_i.any() or not in_j.any():
                 continue
-            if not any(assignment[n] == i for n in union) or \
-                    not any(assignment[n] == j for n in union):
+            on_i = np.bincount(graph.pin_net[pin_part == i], minlength=nets)
+            on_j = np.bincount(graph.pin_net[pin_part == j], minlength=nets)
+            if not np.any((on_i > 0) & (on_j > 0)):
+                continue  # starts at cut 0, so FM returns it unchanged
+            union = np.flatnonzero(in_i | in_j)
+            start = in_j[union].astype(np.int64)
+            run = fm_run(graph.sub(union), start.tolist(),
+                         balance_tolerance, max_passes,
+                         seed + 101 * i + j)
+            moves += run.moves
+            refined = np.asarray(run.part)
+            if np.array_equal(refined, start):
                 continue
-            sub = netlist.subset(union, name=f"pair{i}_{j}")
-            initial = {n: 0 if assignment[n] == i else 1 for n in union}
-            refined = fm_bipartition(sub, initial=initial,
-                                     balance_tolerance=balance_tolerance,
-                                     max_passes=max_passes,
-                                     seed=seed + 101 * i + j)
-            candidate = dict(assignment)
-            for n in union:
-                candidate[n] = i if refined.assignment[n] == 0 else j
-            cand_cut = len(multiway_cut_nets(netlist, candidate))
+            candidate = part.copy()
+            candidate[union] = np.where(refined == 0, i, j)
+            cand_cut = graph.cut_size(candidate)
             if cand_cut < best_cut:
-                assignment = candidate
+                part = candidate
                 best_cut = cand_cut
-    return MultiwayResult(assignment=assignment, k=base.k,
-                          cut_nets=multiway_cut_nets(netlist, assignment))
+                pin_part = part[graph.pin_cell]
+    return _result(graph, part, parts, moves)
 
 
 def pairwise_cut_links(netlist: Netlist, assignment: Dict[str, int]

@@ -70,6 +70,22 @@ class TestFmOnKnownGraphs:
         with pytest.raises(ValueError, match="missing"):
             fm_bipartition(nl, initial={sides[0][0]: 0})
 
+    def test_unknown_initial_instance_rejected(self):
+        nl, sides = two_cliques()
+        initial = {n: 0 for n in sides[0]}
+        initial.update({n: 1 for n in sides[1]})
+        initial["not_an_instance"] = 1
+        with pytest.raises(ValueError, match="'not_an_instance'"):
+            fm_bipartition(nl, initial=initial)
+
+    def test_out_of_range_initial_part_rejected(self):
+        nl, sides = two_cliques()
+        initial = {n: 0 for n in sides[0]}
+        initial.update({n: 1 for n in sides[1]})
+        initial[sides[1][2]] = 2
+        with pytest.raises(ValueError, match=repr(sides[1][2])):
+            fm_bipartition(nl, initial=initial)
+
     def test_single_instance_rejected(self):
         nl = Netlist("one", N28_LIB)
         nl.add_instance("a", "INV_X1")
