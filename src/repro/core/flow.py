@@ -1,14 +1,22 @@
 """The chiplet/interposer co-design flow (paper Fig. 4).
 
-:func:`run_design` executes the full flow for one design point: chiplet
-implementation (both kinds), interposer die placement and RDL routing,
-PDN construction, SI (worst-net channels + eye diagrams), PI (impedance
+:func:`run_design` executes the full flow for one design point:
+chipletization, interposer die placement and RDL routing, PDN
+construction, SI (worst-net channels + eye diagrams), PI (impedance
 profile, IR drop, regulator transient), thermal analysis, and the
-full-chip roll-up.  Results are cached per
-(design, scale, seed, target_frequency_mhz, with_eyes, with_thermal)
-since every stage is
-deterministic; :func:`run_designs` adds a multi-process fan-out and a
-persistent disk cache keyed additionally on a package-source hash.
+full-chip roll-up.  One flow body serves every topology; only the
+chipletize step branches — the paper's logic/memory pair
+(:func:`build_chiplet` twice, :func:`place_dies`,
+:func:`route_interposer`) at the default ``(2, "grid")`` topology, an
+N-way partition of the monolithic netlist
+(:func:`nway_partition`, :func:`build_chiplet_from_netlist`,
+:func:`place_chiplets`, :func:`route_interposer_pins`) otherwise.
+
+Every stage is deterministic, so results are cached.  Every cache — the
+in-process one, the persistent disk cache of :func:`run_flow_task` and
+:func:`run_designs`, and the serve tier's content store — addresses a
+result by one content token: the sha256 of the canonical task JSON plus
+:func:`code_version` (:meth:`FlowTaskSpec.cache_token`).
 
 :func:`run_monolithic` implements the 2D-monolithic baseline column of
 Table IV: both tiles on a single die, no SerDes/AIB, no interposer.
@@ -16,16 +24,19 @@ Table IV: both tiles on a single die, no SerDes/AIB, no interposer.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import functools
 import hashlib
+import json
 import math
 import os
 import pickle
 import time
 import traceback as traceback_module
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ..arch.generate import generate_monolithic_netlist
 from ..arch.topology import is_default_topology, validate_topology
@@ -92,10 +103,11 @@ class DesignResult:
     #: Per-stage solver-counter deltas (stage name → counter dict), the
     #: breakdown behind ``solver_stats``; observability only.
     stage_solver_stats: Optional[Dict[str, Dict[str, int]]] = None
-    #: All implemented parts of an N-chiplet run (``None`` on the
-    #: paper's 2-chiplet path, where ``logic``/``memory`` are the whole
-    #: story; on N-chiplet runs those two fields alias representative
-    #: parts out of this tuple).
+    #: All implemented parts of an N-chiplet run.  ``None`` at the
+    #: default topology, whose chipletize step builds the paper's
+    #: logic/memory pair: there ``logic``/``memory`` are the whole
+    #: story.  On N-chiplet runs those two fields alias representative
+    #: parts out of this tuple.
     chiplets: Optional[Tuple[ChipletResult, ...]] = None
     #: The topology axes this point was run at (see
     #: :mod:`repro.arch.topology`).
@@ -159,13 +171,6 @@ _PROTECTED_SPEC_FIELDS = frozenset({"name", "display_name", "style",
 OverridesKey = Tuple[Tuple[str, object], ...]
 
 
-def _overrides_key(spec_overrides: Optional[Mapping[str, object]]
-                   ) -> OverridesKey:
-    if not spec_overrides:
-        return ()
-    return tuple(sorted(spec_overrides.items()))
-
-
 def _apply_overrides(spec: InterposerSpec,
                      spec_overrides: Mapping[str, object]) -> InterposerSpec:
     """A validated copy of ``spec`` with some fields replaced.
@@ -187,28 +192,8 @@ def _apply_overrides(spec: InterposerSpec,
     return out
 
 
-#: Deterministic result cache:
-#: (name, overrides, scale, seed, target_frequency_mhz, with_eyes,
-#: with_thermal) → DesignResult.  Non-default topologies append
-#: (num_chiplets, arrangement) to the key — the default pair keeps the
-#: original key shape so existing entries stay addressable.
-_CACHE: Dict[Tuple[object, ...], DesignResult] = {}
-
-
-def _topology_key(num_chiplets: int, arrangement: str) -> Tuple[object, ...]:
-    """Cache-key suffix for the topology axes (empty for the default)."""
-    if is_default_topology(num_chiplets, arrangement):
-        return ()
-    return (num_chiplets, arrangement)
-
-
-def clear_cache() -> None:
-    """Drop all cached design results (tests use this)."""
-    _CACHE.clear()
-
-
 # --------------------------------------------------------------------- #
-# Persistent on-disk cache.
+# Content tokens and the two cache tiers.
 # --------------------------------------------------------------------- #
 
 _CODE_VERSION: Optional[str] = None
@@ -231,452 +216,19 @@ def code_version() -> str:
     return _CODE_VERSION
 
 
-def flow_cache_dir() -> Optional[Path]:
-    """Directory of the persistent result cache, or ``None`` if disabled.
+def content_token(data: Mapping[str, object]) -> str:
+    """Content address of a canonical, JSON-safe task description.
 
-    Defaults to ``results/.flow_cache`` at the repository root; override
-    with the ``REPRO_FLOW_CACHE`` environment variable (set it to ``0``
-    or an empty string to disable the disk cache entirely).
+    The sha256 of the canonical JSON (sorted keys, no whitespace) and
+    the package :func:`code_version`, so a source edit invalidates
+    every address.  :meth:`FlowTaskSpec.cache_token` and the serve
+    tier's ``EvalRequest.cache_token`` are both this function.
     """
-    env = os.environ.get("REPRO_FLOW_CACHE")
-    if env is not None:
-        return Path(env) if env not in ("", "0") else None
-    return Path(__file__).resolve().parents[3] / "results" / ".flow_cache"
-
-
-def _disk_key(name: str, scale: float, seed: int,
-              target_frequency_mhz: float, with_eyes: bool,
-              with_thermal: bool, overrides: OverridesKey = (),
-              num_chiplets: int = 2, arrangement: str = "grid") -> str:
-    tag = ""
-    if overrides:
-        digest = hashlib.sha1(repr(overrides).encode()).hexdigest()[:10]
-        tag = f"-o{digest}"
-    if not is_default_topology(num_chiplets, arrangement):
-        tag += f"-n{num_chiplets}-a{arrangement}"
-    return (f"{name}-s{scale}-r{seed}-f{target_frequency_mhz}"
-            f"-e{int(with_eyes)}-t{int(with_thermal)}{tag}-{code_version()}")
-
-
-def _disk_load(key: str) -> Optional[DesignResult]:
-    cache_dir = flow_cache_dir()
-    if cache_dir is None:
-        return None
-    try:
-        with open(cache_dir / f"{key}.pkl", "rb") as fh:
-            return pickle.load(fh)
-    except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-            ImportError):
-        return None
-
-
-def _disk_store(key: str, result: DesignResult) -> None:
-    cache_dir = flow_cache_dir()
-    if cache_dir is None:
-        return
-    try:
-        cache_dir.mkdir(parents=True, exist_ok=True)
-        tmp = cache_dir / f".{key}.tmp.{os.getpid()}"
-        with open(tmp, "wb") as fh:
-            pickle.dump(result, fh, protocol=pickle.HIGHEST_PROTOCOL)
-        tmp.replace(cache_dir / f"{key}.pkl")
-    except OSError:
-        pass  # cache is best-effort; never fail the flow over it
-
-
-def clear_disk_cache() -> int:
-    """Delete all persisted results; returns the number removed."""
-    cache_dir = flow_cache_dir()
-    removed = 0
-    if cache_dir is not None and cache_dir.is_dir():
-        for path in cache_dir.glob("*.pkl"):
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-    return removed
-
-
-def _channels_for(spec: InterposerSpec,
-                  route: Optional[InterposerRoute]) -> Tuple[Channel, Channel]:
-    """Worst-case L2M and L2L channels for a design.
-
-    Lengths come from the actual routed interposer (longest net per
-    class); 3D designs use the vertical interconnect models.
-    """
-    if spec.style is IntegrationStyle.TSV_STACK:
-        l2m = Channel(f"{spec.name}/l2m", lumped=microbump_model())
-        l2l = Channel(f"{spec.name}/l2l",
-                      lumped=cascade(tsv_model(), tsv_model()))
-        return l2m, l2l
-    assert route is not None
-    line = line_for_spec(spec)
-    l2l_len = route.longest_net("l2l").length_mm * 1000.0
-    l2l = Channel(f"{spec.name}/l2l", line=line,
-                  length_um=max(l2l_len, 10.0))
-    if spec.style is IntegrationStyle.EMBEDDED_STACK:
-        l2m = Channel(f"{spec.name}/l2m",
-                      lumped=stacked_via_model(
-                          via_size_um=spec.via_size_um,
-                          dielectric_thickness_um=spec.dielectric_thickness_um,
-                          num_layers=spec.metal_layers))
-    else:
-        l2m_len = route.longest_net("l2m").length_mm * 1000.0
-        l2m = Channel(f"{spec.name}/l2m", line=line,
-                      length_um=max(l2m_len, 10.0))
-    return l2m, l2l
-
-
-def _longest_um(route: InterposerRoute, kind: str) -> Optional[float]:
-    """Longest routed length of one net kind in um, or ``None``."""
-    lengths = [n.length_mm for n in route.nets if n.kind == kind]
-    if not lengths:
-        return None
-    return max(lengths) * 1000.0
-
-
-def _channels_for_nchiplet(spec: InterposerSpec,
-                           route: Optional[InterposerRoute]
-                           ) -> Tuple[Channel, Channel]:
-    """Worst-case mixed-kind (l2m) and same-kind (l2l) channels for an
-    N-chiplet point.
-
-    Same technology models as :func:`_channels_for`, but robust to
-    partitions where one link class is absent: a missing class borrows
-    the other's worst length (the electrical worst case on the same
-    interposer), and a fully stacked route falls back to the vertical
-    via model.
-    """
-    if spec.style is IntegrationStyle.TSV_STACK:
-        l2m = Channel(f"{spec.name}/l2m", lumped=microbump_model())
-        l2l = Channel(f"{spec.name}/l2l",
-                      lumped=cascade(tsv_model(), tsv_model()))
-        return l2m, l2l
-    assert route is not None
-    line = line_for_spec(spec)
-    l2m_len = _longest_um(route, "l2m")
-    l2l_len = _longest_um(route, "l2l")
-    stacked = any(n.kind == "stacked_via" for n in route.nets)
-    lateral_worst = max(l2m_len or 0.0, l2l_len or 0.0)
-
-    l2l = Channel(f"{spec.name}/l2l", line=line,
-                  length_um=max(l2l_len or lateral_worst, 10.0))
-    if l2m_len is None and stacked:
-        l2m = Channel(f"{spec.name}/l2m",
-                      lumped=stacked_via_model(
-                          via_size_um=spec.via_size_um,
-                          dielectric_thickness_um=spec.dielectric_thickness_um,
-                          num_layers=spec.metal_layers))
-    else:
-        l2m = Channel(f"{spec.name}/l2m", line=line,
-                      length_um=max(l2m_len or lateral_worst, 10.0))
-    return l2m, l2l
-
-
-def run_design(name: str, scale: float = 1.0, seed: int = 2023,
-               target_frequency_mhz: float = 700.0,
-               with_eyes: bool = True,
-               with_thermal: bool = True,
-               use_cache: bool = True,
-               spec_overrides: Optional[Mapping[str, object]] = None,
-               num_chiplets: int = 2,
-               arrangement: str = "grid") -> DesignResult:
-    """Run the complete co-design flow for one design point.
-
-    Args:
-        name: Design-point name (``"glass_3d"``, ``"silicon_25d"``...).
-        scale: Netlist scale (1.0 = paper-size, tests use small values).
-        seed: Determinism seed.
-        target_frequency_mhz: Chiplet timing target.
-        with_eyes: Run the PRBS eye simulations (the slowest SI step).
-        with_thermal: Run the FD thermal solve.
-        use_cache: Reuse/populate the in-process result cache.
-        spec_overrides: Optional ``InterposerSpec`` field perturbations
-            (e.g. ``{"microbump_pitch_um": 50.0}``) applied on top of the
-            registered spec — the hook the design-space explorer sweeps
-            through.  Identity fields (name/style/routing) are protected.
-        num_chiplets: How many chiplets to partition the system into
-            (see :mod:`repro.arch.topology`).  The default ``2`` runs
-            the paper's logic/memory split bit-identically; other
-            values N-way-partition the monolithic netlist.
-        arrangement: Die packing for the N-chiplet path (``grid``,
-            ``row``, ``hexagonal``, or ``stacked``).
-
-    Returns:
-        A fully populated :class:`DesignResult`.
-    """
-    num_chiplets, arrangement = validate_topology(num_chiplets,
-                                                  arrangement)
-    overrides = _overrides_key(spec_overrides)
-    topo = _topology_key(num_chiplets, arrangement)
-    key = (name, overrides, scale, seed, target_frequency_mhz,
-           with_eyes, with_thermal) + topo
-    if use_cache:
-        hit = _CACHE.get(key)
-        if hit is None and not (with_eyes and with_thermal):
-            # A full run supersedes any partial request at the same point.
-            hit = _CACHE.get((name, overrides, scale, seed,
-                              target_frequency_mhz, True, True) + topo)
-        if hit is not None:
-            return hit
-    if topo:
-        result = _run_design_nchiplet(
-            name, overrides, scale, seed, target_frequency_mhz,
-            with_eyes, with_thermal, num_chiplets, arrangement)
-        if use_cache:
-            _CACHE[key] = result
-        return result
-    stage_times: Dict[str, float] = {}
-    stage_solver_stats: Dict[str, Dict[str, int]] = {}
-    reset_solver_counters()
-
-    def _stage_counters(stage: str, before: Dict[str, int]) -> None:
-        after = solver_counters()
-        stage_solver_stats[stage] = {k: after[k] - before.get(k, 0)
-                                     for k in after}
-
-    t_total = time.perf_counter()
-    spec = get_spec(name)
-    if overrides:
-        spec = _apply_overrides(spec, dict(overrides))
-
-    t0 = time.perf_counter()
-    c0 = solver_counters()
-    logic = build_chiplet("logic", spec, scale=scale, seed=seed,
-                          target_frequency_mhz=target_frequency_mhz)
-    memory = build_chiplet("memory", spec, scale=scale, seed=seed,
-                           target_frequency_mhz=target_frequency_mhz)
-    placement = place_dies(spec, logic.bump_plan, memory.bump_plan)
-    stage_times["chiplets"] = time.perf_counter() - t0
-    _stage_counters("chiplets", c0)
-
-    route = None
-    pdn = None
-    pdn_imp = None
-    ir = None
-    transient = None
-    if spec.style is not IntegrationStyle.TSV_STACK:
-        t0 = time.perf_counter()
-        c0 = solver_counters()
-        route = route_interposer(placement,
-                                 logic.bump_plan.signal_positions(),
-                                 memory.bump_plan.signal_positions())
-        stage_times["routing"] = time.perf_counter() - t0
-        _stage_counters("routing", c0)
-        if route.stats is not None:
-            # Sub-keys ("stage/phase") break the routing stage down;
-            # they are excluded from whole-stage accounting sums.
-            stage_times["routing/pattern"] = route.stats.pattern_time_s
-            stage_times["routing/rrr"] = route.stats.rrr_time_s
-            stage_times["routing/maze"] = route.stats.maze_time_s
-        t0 = time.perf_counter()
-        c0 = solver_counters()
-        pdn = build_pdn(placement)
-        pdn_imp = analyze_pdn_impedance(pdn)
-        powers = {d.name: (logic if d.kind == "logic"
-                           else memory).power.total_mw * 1e-3
-                  for d in placement.dies}
-        ir = solve_plane_ir_drop(placement, pdn, powers)
-        transient = analyze_power_transient(
-            pdn, sum(powers.values()))
-        stage_times["pdn"] = time.perf_counter() - t0
-        _stage_counters("pdn", c0)
-
-    t0 = time.perf_counter()
-    c0 = solver_counters()
-    l2m_ch, l2l_ch = _channels_for(spec, route)
-    l2m_rep = measure_channel(l2m_ch, target_frequency_mhz * 1e6)
-    l2l_rep = measure_channel(l2l_ch, target_frequency_mhz * 1e6)
-    stage_times["channels"] = time.perf_counter() - t0
-    _stage_counters("channels", c0)
-
-    l2m_eye = l2l_eye = None
-    if with_eyes:
-        t0 = time.perf_counter()
-        c0 = solver_counters()
-        coupled = coupled_line_for_spec(spec)
-        l2m_eye = simulate_eye(line=l2m_ch.line,
-                               length_um=l2m_ch.length_um,
-                               lumped=l2m_ch.lumped, coupled=coupled,
-                               num_bits=64)
-        l2l_eye = simulate_eye(line=l2l_ch.line,
-                               length_um=l2l_ch.length_um,
-                               lumped=l2l_ch.lumped, coupled=coupled,
-                               num_bits=64)
-        stage_times["eyes"] = time.perf_counter() - t0
-        _stage_counters("eyes", c0)
-
-    thermal = None
-    if with_thermal:
-        t0 = time.perf_counter()
-        c0 = solver_counters()
-        powers = {d.name: (logic if d.kind == "logic"
-                           else memory).power.total_mw * 1e-3
-                  for d in placement.dies}
-        maps = {}
-        for d in placement.dies:
-            res = logic if d.kind == "logic" else memory
-            maps[d.name] = power_density_map(res.route, res.power)
-        thermal = analyze_package_thermal(placement, powers, maps)
-        stage_times["thermal"] = time.perf_counter() - t0
-        _stage_counters("thermal", c0)
-
-    fullchip = full_chip_summary(logic, memory, l2m_rep, l2l_rep)
-    stage_times["total"] = time.perf_counter() - t_total
-    solver_stats = solver_counters()
-    result = DesignResult(
-        spec=spec, logic=logic, memory=memory, placement=placement,
-        route=route, pdn=pdn, pdn_impedance=pdn_imp, ir_drop=ir,
-        power_transient=transient, l2m_channel=l2m_rep,
-        l2l_channel=l2l_rep, l2m_eye=l2m_eye, l2l_eye=l2l_eye,
-        thermal=thermal, fullchip=fullchip, stage_times=stage_times,
-        solver_stats=solver_stats, stage_solver_stats=stage_solver_stats)
-    if use_cache:
-        _CACHE[key] = result
-    return result
-
-
-def _run_design_nchiplet(name: str, overrides: OverridesKey, scale: float,
-                         seed: int, target_frequency_mhz: float,
-                         with_eyes: bool, with_thermal: bool,
-                         num_chiplets: int,
-                         arrangement: str) -> DesignResult:
-    """The generalized N-chiplet flow body behind :func:`run_design`.
-
-    Partitions the monolithic two-tile system netlist ``num_chiplets``
-    ways (min-cut, see :func:`repro.partition.multiway.nway_partition`),
-    implements each part with the ordinary chiplet pipeline, packs the
-    dies per ``arrangement``, derives the inter-chiplet link bundles
-    from the partition's pairwise cut counts, and then reuses every
-    downstream stage — routing, PDN, SI, PI, thermal, roll-up —
-    unchanged on the resulting multi-chiplet placement.
-    """
-    stage_times: Dict[str, float] = {}
-    stage_solver_stats: Dict[str, Dict[str, int]] = {}
-    reset_solver_counters()
-
-    def _stage_counters(stage: str, before: Dict[str, int]) -> None:
-        after = solver_counters()
-        stage_solver_stats[stage] = {k: after[k] - before.get(k, 0)
-                                     for k in after}
-
-    t_total = time.perf_counter()
-    spec = get_spec(name)
-    if overrides:
-        spec = _apply_overrides(spec, dict(overrides))
-
-    t0 = time.perf_counter()
-    c0 = solver_counters()
-    system = generate_monolithic_netlist(scale=scale, seed=seed)
-    part = nway_partition(system, num_chiplets, seed=seed)
-    chiplets = tuple(
-        build_chiplet_from_netlist(
-            system.subset(part.part(i), name=f"chiplet{i}"), spec,
-            target_frequency_mhz=target_frequency_mhz)
-        for i in range(part.k))
-    kinds = [c.kind for c in chiplets]
-    placement = place_chiplets(spec, [c.bump_plan for c in chiplets],
-                               kinds, arrangement)
-    links: List[PinLink] = []
-    for (i, j), count in sorted(pairwise_cut_links(
-            system, part.assignment).items()):
-        kind = "l2m" if kinds[i] != kinds[j] else "l2l"
-        links.append((f"chiplet{i}", f"chiplet{j}", kind, count))
-    stage_times["chiplets"] = time.perf_counter() - t0
-    _stage_counters("chiplets", c0)
-
-    route = None
-    pdn = None
-    pdn_imp = None
-    ir = None
-    transient = None
-    if spec.style is not IntegrationStyle.TSV_STACK:
-        t0 = time.perf_counter()
-        c0 = solver_counters()
-        pin_map = {f"chiplet{i}": c.bump_plan.signal_positions()
-                   for i, c in enumerate(chiplets)}
-        route = route_interposer_pins(placement, pin_map, links)
-        stage_times["routing"] = time.perf_counter() - t0
-        _stage_counters("routing", c0)
-        if route.stats is not None:
-            stage_times["routing/pattern"] = route.stats.pattern_time_s
-            stage_times["routing/rrr"] = route.stats.rrr_time_s
-            stage_times["routing/maze"] = route.stats.maze_time_s
-        t0 = time.perf_counter()
-        c0 = solver_counters()
-        pdn = build_pdn(placement)
-        pdn_imp = analyze_pdn_impedance(pdn)
-        powers = {d.name: chiplets[d.tile].power.total_mw * 1e-3
-                  for d in placement.dies}
-        ir = solve_plane_ir_drop(placement, pdn, powers)
-        transient = analyze_power_transient(pdn, sum(powers.values()))
-        stage_times["pdn"] = time.perf_counter() - t0
-        _stage_counters("pdn", c0)
-
-    t0 = time.perf_counter()
-    c0 = solver_counters()
-    l2m_ch, l2l_ch = _channels_for_nchiplet(spec, route)
-    l2m_rep = measure_channel(l2m_ch, target_frequency_mhz * 1e6)
-    l2l_rep = measure_channel(l2l_ch, target_frequency_mhz * 1e6)
-    stage_times["channels"] = time.perf_counter() - t0
-    _stage_counters("channels", c0)
-
-    l2m_eye = l2l_eye = None
-    if with_eyes:
-        t0 = time.perf_counter()
-        c0 = solver_counters()
-        coupled = coupled_line_for_spec(spec)
-        l2m_eye = simulate_eye(line=l2m_ch.line,
-                               length_um=l2m_ch.length_um,
-                               lumped=l2m_ch.lumped, coupled=coupled,
-                               num_bits=64)
-        l2l_eye = simulate_eye(line=l2l_ch.line,
-                               length_um=l2l_ch.length_um,
-                               lumped=l2l_ch.lumped, coupled=coupled,
-                               num_bits=64)
-        stage_times["eyes"] = time.perf_counter() - t0
-        _stage_counters("eyes", c0)
-
-    thermal = None
-    if with_thermal:
-        t0 = time.perf_counter()
-        c0 = solver_counters()
-        powers = {d.name: chiplets[d.tile].power.total_mw * 1e-3
-                  for d in placement.dies}
-        maps = {d.name: power_density_map(chiplets[d.tile].route,
-                                          chiplets[d.tile].power)
-                for d in placement.dies}
-        thermal = analyze_package_thermal(placement, powers, maps)
-        stage_times["thermal"] = time.perf_counter() - t0
-        _stage_counters("thermal", c0)
-
-    l2m_signals = sum(c for _, _, k, c in links if k == "l2m")
-    l2l_signals = sum(c for _, _, k, c in links if k == "l2l")
-    fullchip = full_chip_summary_nway(chiplets, l2m_rep, l2l_rep,
-                                      l2m_signals, l2l_signals)
-
-    # Representative parts keep the 2-chiplet accessors (tables, sweep
-    # metrics) meaningful on N-chiplet results.
-    logic = next((c for c in chiplets if c.kind == "logic"), chiplets[0])
-    memory = next((c for c in chiplets if c.kind == "memory"),
-                  chiplets[-1])
-    stage_times["total"] = time.perf_counter() - t_total
-    solver_stats = solver_counters()
-    return DesignResult(
-        spec=spec, logic=logic, memory=memory, placement=placement,
-        route=route, pdn=pdn, pdn_impedance=pdn_imp, ir_drop=ir,
-        power_transient=transient, l2m_channel=l2m_rep,
-        l2l_channel=l2l_rep, l2m_eye=l2m_eye, l2l_eye=l2l_eye,
-        thermal=thermal, fullchip=fullchip, stage_times=stage_times,
-        solver_stats=solver_stats, stage_solver_stats=stage_solver_stats,
-        chiplets=chiplets, num_chiplets=num_chiplets,
-        arrangement=arrangement)
-
-
-# --------------------------------------------------------------------- #
-# Single-point task API (structured error capture).
-# --------------------------------------------------------------------- #
+    digest = hashlib.sha256()
+    digest.update(json.dumps(data, sort_keys=True,
+                             separators=(",", ":")).encode())
+    digest.update(code_version().encode())
+    return digest.hexdigest()[:32]
 
 
 @dataclass(frozen=True)
@@ -684,9 +236,11 @@ class FlowTaskSpec:
     """Picklable description of one :func:`run_design` invocation.
 
     This is the unit of work the multi-design fan-out and the
-    design-space explorer ship to worker processes.  ``spec_overrides``
-    is canonicalized to a sorted item tuple so equal tasks compare (and
-    hash) equal regardless of construction order.
+    design-space explorer ship to worker processes, and the one cache
+    address of its result (:meth:`cache_token`).  ``spec_overrides``
+    is canonicalized to a sorted item tuple and a registered design
+    alias to its canonical name, so equal tasks compare (and hash)
+    equal regardless of how they were spelled.
     """
 
     design: str
@@ -700,18 +254,20 @@ class FlowTaskSpec:
     arrangement: str = "grid"
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "design", get_spec(self.design).name)
+        except KeyError:
+            pass  # unknown names stay as given; the flow reports them
         canonical = tuple(sorted(tuple(self.spec_overrides)))
         object.__setattr__(self, "spec_overrides", canonical)
         count, arr = validate_topology(self.num_chiplets, self.arrangement)
         object.__setattr__(self, "num_chiplets", count)
         object.__setattr__(self, "arrangement", arr)
 
-    def cache_key(self) -> Tuple[object, ...]:
-        """The in-process cache key this task resolves to."""
-        return (self.design, self.spec_overrides, self.scale, self.seed,
-                self.target_frequency_mhz, self.with_eyes,
-                self.with_thermal) + _topology_key(self.num_chiplets,
-                                                   self.arrangement)
+    def cache_token(self) -> str:
+        """The content address of this task's result in every cache
+        tier (see :func:`content_token`)."""
+        return content_token(self.to_dict())
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-safe dict form (round-trips through :meth:`from_dict`).
@@ -760,16 +316,344 @@ class FlowTaskSpec:
             arrangement=data.get("arrangement", "grid"))
 
 
-def task_disk_key(task: FlowTaskSpec) -> str:
-    """The persistent-cache filename stem a task's result lives under.
+#: In-process result cache: :meth:`FlowTaskSpec.cache_token` →
+#: :class:`DesignResult`.
+_CACHE: Dict[str, DesignResult] = {}
 
-    Public so the serve subsystem's content-addressed store can treat
-    the existing per-task cache entries as a read-through layer.
+
+def clear_cache() -> None:
+    """Drop all cached design results (tests use this)."""
+    _CACHE.clear()
+
+
+def flow_cache_dir() -> Optional[Path]:
+    """Directory of the persistent result cache, or ``None`` if disabled.
+
+    Defaults to ``results/.flow_cache`` at the repository root; override
+    with the ``REPRO_FLOW_CACHE`` environment variable (set it to ``0``
+    or an empty string to disable the disk cache entirely).
     """
-    return _disk_key(task.design, task.scale, task.seed,
-                     task.target_frequency_mhz, task.with_eyes,
-                     task.with_thermal, task.spec_overrides,
-                     task.num_chiplets, task.arrangement)
+    env = os.environ.get("REPRO_FLOW_CACHE")
+    if env is not None:
+        return Path(env) if env not in ("", "0") else None
+    return Path(__file__).resolve().parents[3] / "results" / ".flow_cache"
+
+
+def _disk_path(cache_dir: Path, token: str) -> Path:
+    return cache_dir / f"flow-{token}.pkl"
+
+
+def _disk_load(token: str) -> Optional[DesignResult]:
+    cache_dir = flow_cache_dir()
+    if cache_dir is None:
+        return None
+    try:
+        with open(_disk_path(cache_dir, token), "rb") as fh:
+            return pickle.load(fh)
+    except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
+            ImportError):
+        return None
+
+
+def _disk_store(token: str, result: DesignResult) -> None:
+    cache_dir = flow_cache_dir()
+    if cache_dir is None:
+        return
+    try:
+        cache_dir.mkdir(parents=True, exist_ok=True)
+        tmp = cache_dir / f".{token}.tmp.{os.getpid()}"
+        with open(tmp, "wb") as fh:
+            pickle.dump(result, fh, protocol=pickle.HIGHEST_PROTOCOL)
+        tmp.replace(_disk_path(cache_dir, token))
+    except OSError:
+        pass  # cache is best-effort; never fail the flow over it
+
+
+def clear_disk_cache() -> int:
+    """Delete all persisted results; returns the number removed."""
+    cache_dir = flow_cache_dir()
+    removed = 0
+    if cache_dir is not None and cache_dir.is_dir():
+        for path in cache_dir.glob("*.pkl"):
+            try:
+                path.unlink()
+                removed += 1
+            except OSError:
+                pass
+    return removed
+
+
+def _cached(task: FlowTaskSpec, disk: bool) -> Optional[DesignResult]:
+    """The cached result for ``task``, or ``None``.
+
+    The one lookup rule: the task's exact entry, else — for a partial
+    request (eyes or thermal off) — the full run's entry at the same
+    point, which supersedes it.  The in-process tier is consulted
+    first; with ``disk`` the persistent tier next, and a disk hit is
+    remembered in-process under the task's own token.
+    """
+    tokens = [task.cache_token()]
+    if not (task.with_eyes and task.with_thermal):
+        tokens.append(dataclasses.replace(
+            task, with_eyes=True, with_thermal=True).cache_token())
+    for token in tokens:
+        hit = _CACHE.get(token)
+        if hit is not None:
+            return hit
+    if disk:
+        for token in tokens:
+            hit = _disk_load(token)
+            if hit is not None:
+                _CACHE[tokens[0]] = hit
+                return hit
+    return None
+
+
+# --------------------------------------------------------------------- #
+# The flow body.
+# --------------------------------------------------------------------- #
+
+
+class _StageClock:
+    """Wall time and solver-counter deltas per flow stage.
+
+    Creating one resets the process-wide solver counters, so
+    ``solver_counters()`` at the end of a run is that run's total.
+    """
+
+    def __init__(self):
+        reset_solver_counters()
+        self.times: Dict[str, float] = {}
+        self.solver: Dict[str, Dict[str, int]] = {}
+
+    @contextlib.contextmanager
+    def stage(self, name: str) -> Iterator[None]:
+        """Record the enclosed block as stage ``name``."""
+        t0 = time.perf_counter()
+        before = solver_counters()
+        yield
+        self.times[name] = time.perf_counter() - t0
+        after = solver_counters()
+        self.solver[name] = {k: after[k] - before.get(k, 0)
+                             for k in after}
+
+
+def _longest_um(route: InterposerRoute, kind: str) -> Optional[float]:
+    """Longest routed length of one net kind in um, or ``None``."""
+    lengths = [n.length_mm for n in route.nets if n.kind == kind]
+    if not lengths:
+        return None
+    return max(lengths) * 1000.0
+
+
+def _channels_for(spec: InterposerSpec,
+                  route: Optional[InterposerRoute]
+                  ) -> Tuple[Channel, Channel]:
+    """Worst-case mixed-kind (l2m) and same-kind (l2l) channels.
+
+    Lengths come from the actual routed interposer (longest net per
+    class); 3D designs use the vertical interconnect models.  A link
+    class the partition lacks borrows the other's worst length (the
+    electrical worst case on the same interposer), and a route whose
+    mixed-kind links are all stacked falls back to the vertical via
+    model.
+    """
+    if spec.style is IntegrationStyle.TSV_STACK:
+        l2m = Channel(f"{spec.name}/l2m", lumped=microbump_model())
+        l2l = Channel(f"{spec.name}/l2l",
+                      lumped=cascade(tsv_model(), tsv_model()))
+        return l2m, l2l
+    assert route is not None
+    line = line_for_spec(spec)
+    l2m_len = _longest_um(route, "l2m")
+    l2l_len = _longest_um(route, "l2l")
+    stacked = any(n.kind == "stacked_via" for n in route.nets)
+    lateral_worst = max(l2m_len or 0.0, l2l_len or 0.0)
+
+    l2l = Channel(f"{spec.name}/l2l", line=line,
+                  length_um=max(l2l_len or lateral_worst, 10.0))
+    if l2m_len is None and stacked:
+        l2m = Channel(f"{spec.name}/l2m",
+                      lumped=stacked_via_model(
+                          via_size_um=spec.via_size_um,
+                          dielectric_thickness_um=spec.dielectric_thickness_um,
+                          num_layers=spec.metal_layers))
+    else:
+        l2m = Channel(f"{spec.name}/l2m", line=line,
+                      length_um=max(l2m_len or lateral_worst, 10.0))
+    return l2m, l2l
+
+
+def _run_flow(task: FlowTaskSpec) -> DesignResult:
+    """The flow body behind :func:`run_design`, for every topology.
+
+    Only the chipletize step branches.  The default topology implements
+    the paper's logic and memory chiplets, places them per tile and
+    routes the paper's fixed link bundles.  Any other topology
+    partitions the monolithic two-tile netlist ``num_chiplets`` ways
+    (min-cut, see :func:`repro.partition.multiway.nway_partition`),
+    implements each part, packs the dies per ``arrangement`` and routes
+    the link bundles the partition's pairwise cut counts imply.  Every
+    later stage — PDN, PI, SI, thermal, roll-up — is shared.
+    """
+    clock = _StageClock()
+    t_total = time.perf_counter()
+    spec = get_spec(task.design)
+    if task.spec_overrides:
+        spec = _apply_overrides(spec, dict(task.spec_overrides))
+    f_mhz = task.target_frequency_mhz
+
+    chiplets: Optional[Tuple[ChipletResult, ...]] = None
+    with clock.stage("chiplets"):
+        if is_default_topology(task.num_chiplets, task.arrangement):
+            logic = build_chiplet("logic", spec, scale=task.scale,
+                                  seed=task.seed, target_frequency_mhz=f_mhz)
+            memory = build_chiplet("memory", spec, scale=task.scale,
+                                   seed=task.seed, target_frequency_mhz=f_mhz)
+            placement = place_dies(spec, logic.bump_plan, memory.bump_plan)
+            parts = {d.name: logic if d.kind == "logic" else memory
+                     for d in placement.dies}
+            route_step = functools.partial(
+                route_interposer, placement,
+                logic.bump_plan.signal_positions(),
+                memory.bump_plan.signal_positions())
+            rollup = functools.partial(full_chip_summary, logic, memory)
+        else:
+            system = generate_monolithic_netlist(scale=task.scale,
+                                                 seed=task.seed)
+            part = nway_partition(system, task.num_chiplets, seed=task.seed)
+            chiplets = tuple(
+                build_chiplet_from_netlist(
+                    system.subset(part.part(i), name=f"chiplet{i}"), spec,
+                    target_frequency_mhz=f_mhz)
+                for i in range(part.k))
+            kinds = [c.kind for c in chiplets]
+            placement = place_chiplets(spec, [c.bump_plan for c in chiplets],
+                                       kinds, task.arrangement)
+            parts = {d.name: chiplets[d.tile] for d in placement.dies}
+            links: List[PinLink] = []
+            for (i, j), count in sorted(pairwise_cut_links(
+                    system, part.assignment).items()):
+                kind = "l2m" if kinds[i] != kinds[j] else "l2l"
+                links.append((f"chiplet{i}", f"chiplet{j}", kind, count))
+            pin_map = {f"chiplet{i}": c.bump_plan.signal_positions()
+                       for i, c in enumerate(chiplets)}
+            route_step = functools.partial(route_interposer_pins, placement,
+                                           pin_map, links)
+            rollup = functools.partial(
+                full_chip_summary_nway, chiplets,
+                l2m_signals=sum(c for _, _, k, c in links if k == "l2m"),
+                l2l_signals=sum(c for _, _, k, c in links if k == "l2l"))
+            # Representative parts keep the 2-chiplet accessors (tables,
+            # sweep metrics) meaningful on N-chiplet results.
+            logic = next((c for c in chiplets if c.kind == "logic"),
+                         chiplets[0])
+            memory = next((c for c in chiplets if c.kind == "memory"),
+                          chiplets[-1])
+    powers = {name: c.power.total_mw * 1e-3 for name, c in parts.items()}
+
+    route = pdn = pdn_imp = ir = transient = None
+    if spec.style is not IntegrationStyle.TSV_STACK:
+        with clock.stage("routing"):
+            route = route_step()
+        if route.stats is not None:
+            # Sub-keys ("stage/phase") break the routing stage down;
+            # they are excluded from whole-stage accounting sums.
+            clock.times["routing/pattern"] = route.stats.pattern_time_s
+            clock.times["routing/rrr"] = route.stats.rrr_time_s
+            clock.times["routing/maze"] = route.stats.maze_time_s
+        with clock.stage("pdn"):
+            pdn = build_pdn(placement)
+            pdn_imp = analyze_pdn_impedance(pdn)
+            ir = solve_plane_ir_drop(placement, pdn, powers)
+            transient = analyze_power_transient(pdn, sum(powers.values()))
+
+    with clock.stage("channels"):
+        l2m_ch, l2l_ch = _channels_for(spec, route)
+        l2m_rep = measure_channel(l2m_ch, f_mhz * 1e6)
+        l2l_rep = measure_channel(l2l_ch, f_mhz * 1e6)
+
+    l2m_eye = l2l_eye = None
+    if task.with_eyes:
+        with clock.stage("eyes"):
+            coupled = coupled_line_for_spec(spec)
+            l2m_eye, l2l_eye = (
+                simulate_eye(line=ch.line, length_um=ch.length_um,
+                             lumped=ch.lumped, coupled=coupled, num_bits=64)
+                for ch in (l2m_ch, l2l_ch))
+
+    thermal = None
+    if task.with_thermal:
+        with clock.stage("thermal"):
+            maps = {name: power_density_map(c.route, c.power)
+                    for name, c in parts.items()}
+            thermal = analyze_package_thermal(placement, powers, maps)
+
+    fullchip = rollup(l2m_rep, l2l_rep)
+    clock.times["total"] = time.perf_counter() - t_total
+    return DesignResult(
+        spec=spec, logic=logic, memory=memory, placement=placement,
+        route=route, pdn=pdn, pdn_impedance=pdn_imp, ir_drop=ir,
+        power_transient=transient, l2m_channel=l2m_rep,
+        l2l_channel=l2l_rep, l2m_eye=l2m_eye, l2l_eye=l2l_eye,
+        thermal=thermal, fullchip=fullchip, stage_times=clock.times,
+        solver_stats=solver_counters(), stage_solver_stats=clock.solver,
+        chiplets=chiplets, num_chiplets=task.num_chiplets,
+        arrangement=task.arrangement)
+
+
+def run_design(name: str, scale: float = 1.0, seed: int = 2023,
+               target_frequency_mhz: float = 700.0,
+               with_eyes: bool = True,
+               with_thermal: bool = True,
+               use_cache: bool = True,
+               spec_overrides: Optional[Mapping[str, object]] = None,
+               num_chiplets: int = 2,
+               arrangement: str = "grid") -> DesignResult:
+    """Run the complete co-design flow for one design point.
+
+    Args:
+        name: Design-point name (``"glass_3d"``, ``"silicon_25d"``...);
+            registered aliases (``"glass-2.5d"``) name the same point.
+        scale: Netlist scale (1.0 = paper-size, tests use small values).
+        seed: Determinism seed.
+        target_frequency_mhz: Chiplet timing target.
+        with_eyes: Run the PRBS eye simulations (the slowest SI step).
+        with_thermal: Run the FD thermal solve.
+        use_cache: Reuse/populate the in-process result cache.
+        spec_overrides: Optional ``InterposerSpec`` field perturbations
+            (e.g. ``{"microbump_pitch_um": 50.0}``) applied on top of the
+            registered spec — the hook the design-space explorer sweeps
+            through.  Identity fields (name/style/routing) are protected.
+        num_chiplets: How many chiplets to partition the system into
+            (see :mod:`repro.arch.topology`).  The default ``2`` runs
+            the paper's logic/memory split; other values N-way-partition
+            the monolithic netlist.
+        arrangement: Die packing for the N-chiplet path (``grid``,
+            ``row``, ``hexagonal``, or ``stacked``).
+
+    Returns:
+        A fully populated :class:`DesignResult`.
+    """
+    task = FlowTaskSpec(
+        design=name, scale=scale, seed=seed,
+        target_frequency_mhz=target_frequency_mhz, with_eyes=with_eyes,
+        with_thermal=with_thermal,
+        spec_overrides=tuple((spec_overrides or {}).items()),
+        num_chiplets=num_chiplets, arrangement=arrangement)
+    if use_cache:
+        hit = _cached(task, disk=False)
+        if hit is not None:
+            return hit
+    result = _run_flow(task)
+    if use_cache:
+        _CACHE[task.cache_token()] = result
+    return result
+
+
+# --------------------------------------------------------------------- #
+# Single-point task API (structured error capture).
+# --------------------------------------------------------------------- #
 
 
 @dataclass
@@ -800,6 +684,7 @@ class FlowTaskResult:
         return self.error_type is None
 
 
+
 def run_flow_task(task: FlowTaskSpec,
                   use_cache: bool = True) -> FlowTaskResult:
     """Execute one flow task; never raises.
@@ -813,21 +698,7 @@ def run_flow_task(task: FlowTaskSpec,
     t0 = time.perf_counter()
     try:
         if use_cache:
-            topo = _topology_key(task.num_chiplets, task.arrangement)
-            hit = _CACHE.get(task.cache_key())
-            if hit is None and not (task.with_eyes and task.with_thermal):
-                hit = _CACHE.get((task.design, task.spec_overrides,
-                                  task.scale, task.seed,
-                                  task.target_frequency_mhz, True, True)
-                                 + topo)
-            if hit is None:
-                hit = _disk_load(_disk_key(
-                    task.design, task.scale, task.seed,
-                    task.target_frequency_mhz, task.with_eyes,
-                    task.with_thermal, task.spec_overrides,
-                    task.num_chiplets, task.arrangement))
-                if hit is not None:
-                    _CACHE[task.cache_key()] = hit
+            hit = _cached(task, disk=True)
             if hit is not None:
                 return FlowTaskResult(
                     task=task, result=hit, cached=True,
@@ -841,12 +712,7 @@ def run_flow_task(task: FlowTaskSpec,
             num_chiplets=task.num_chiplets,
             arrangement=task.arrangement)
         if use_cache:
-            _disk_store(_disk_key(task.design, task.scale, task.seed,
-                                  task.target_frequency_mhz,
-                                  task.with_eyes, task.with_thermal,
-                                  task.spec_overrides,
-                                  task.num_chiplets,
-                                  task.arrangement), result)
+            _disk_store(task.cache_token(), result)
         return FlowTaskResult(task=task, result=result,
                               wall_s=time.perf_counter() - t0)
     except Exception as exc:  # noqa: BLE001 — the point is to capture
@@ -925,72 +791,38 @@ def run_designs(names: Sequence[str], scale: float = 1.0, seed: int = 2023,
     Raises:
         FlowBatchError: If any task failed (after all tasks finished).
     """
-    num_chiplets, arrangement = validate_topology(num_chiplets,
-                                                  arrangement)
-    topo = _topology_key(num_chiplets, arrangement)
-    ordered: List[str] = []
-    for n in names:
-        if n not in ordered:
-            ordered.append(n)
-
+    tasks = {n: FlowTaskSpec(design=n, scale=scale, seed=seed,
+                             target_frequency_mhz=target_frequency_mhz,
+                             with_eyes=with_eyes, with_thermal=with_thermal,
+                             num_chiplets=num_chiplets,
+                             arrangement=arrangement)
+             for n in dict.fromkeys(names)}
     results: Dict[str, DesignResult] = {}
-    failures: Dict[str, FlowTaskResult] = {}
-    misses: List[str] = []
-    for n in ordered:
-        if use_cache:
-            mem_key = (n, (), scale, seed, target_frequency_mhz,
-                       with_eyes, with_thermal) + topo
-            hit = _CACHE.get(mem_key)
-            if hit is None and not (with_eyes and with_thermal):
-                hit = _CACHE.get((n, (), scale, seed,
-                                  target_frequency_mhz, True, True)
-                                 + topo)
-            if hit is None:
-                hit = _disk_load(_disk_key(n, scale, seed,
-                                           target_frequency_mhz,
-                                           with_eyes, with_thermal,
-                                           num_chiplets=num_chiplets,
-                                           arrangement=arrangement))
-                if hit is not None:
-                    _CACHE[mem_key] = hit
+    if use_cache:
+        for n, task in tasks.items():
+            hit = _cached(task, disk=True)
             if hit is not None:
                 results[n] = hit
-                continue
-        misses.append(n)
+    misses = [n for n in tasks if n not in results]
 
-    if misses:
-        tasks = [(FlowTaskSpec(design=n, scale=scale, seed=seed,
-                               target_frequency_mhz=target_frequency_mhz,
-                               with_eyes=with_eyes,
-                               with_thermal=with_thermal,
-                               num_chiplets=num_chiplets,
-                               arrangement=arrangement), use_cache)
-                 for n in misses]
-        # The persistent pool outlives this call: later fan-outs (and
-        # every point of a DSE sweep) reuse the same warm workers.  A
-        # worker death mid-batch costs one bounded resubmit of the
-        # unfinished suffix, not the whole batch (imap_retry).
-        outcomes = list(imap_retry(_run_flow_task_args, tasks, jobs))
-        for n, out in zip(misses, outcomes):
-            if not out.ok:
-                failures[n] = out
-                continue
-            results[n] = out.result
-            if use_cache:
-                _CACHE[(n, (), scale, seed, target_frequency_mhz,
-                        with_eyes, with_thermal) + topo] = out.result
-                # Worker processes persist to disk themselves; store again
-                # here so serial in-process runs are covered too.
-                _disk_store(_disk_key(n, scale, seed,
-                                      target_frequency_mhz,
-                                      with_eyes, with_thermal,
-                                      num_chiplets=num_chiplets,
-                                      arrangement=arrangement),
-                            out.result)
+    # The persistent pool outlives this call: later fan-outs (and every
+    # point of a DSE sweep) reuse the same warm workers.  A worker death
+    # mid-batch costs one bounded resubmit of the unfinished suffix, not
+    # the whole batch (imap_retry).  Each task persists its own result.
+    failures: Dict[str, FlowTaskResult] = {}
+    outcomes = imap_retry(_run_flow_task_args,
+                          [(tasks[n], use_cache) for n in misses], jobs)
+    for n, out in zip(misses, outcomes):
+        if not out.ok:
+            failures[n] = out
+            continue
+        results[n] = out.result
+        if use_cache:
+            _CACHE[tasks[n].cache_token()] = out.result
 
     if failures:
         raise FlowBatchError(failures, results)
-    return {n: results[n] for n in ordered}
+    return {n: results[n] for n in tasks}
 
 
 @dataclass

@@ -1508,15 +1508,12 @@ def _manhattan_mm(job) -> float:
     return abs(s[0] - d[0]) + abs(s[1] - d[1])
 
 
-def _routing_problem(placement: InterposerPlacement,
-                     logic_bumps: List[Tuple[float, float]],
-                     memory_bumps: List[Tuple[float, float]],
-                     l2m_signals: int, l2l_signals: int
-                     ) -> Tuple[RoutingGrid, List[RoutedNet],
-                                List[Tuple[str, str, Tuple[float, float],
-                                           Tuple[float, float]]]]:
-    """Shared setup: the grid, pre-routed stacked vias, and the lateral
-    net list (name, kind, src_mm, dst_mm) both router variants consume."""
+def _routing_grid(placement: InterposerPlacement) -> RoutingGrid:
+    """The empty RDL grid of a placement, derated under every top die.
+
+    Raises:
+        ValueError: On a TSV stack, which has no interposer to route.
+    """
     spec = placement.spec
     if spec.style is IntegrationStyle.TSV_STACK:
         raise ValueError("silicon 3D has no interposer to route; use the "
@@ -1531,6 +1528,20 @@ def _routing_problem(placement: InterposerPlacement,
             grid.derate_region(die.x_mm, die.y_mm,
                                die.x_mm + die.width_mm,
                                die.y_mm + die.width_mm, cap_under)
+    return grid
+
+
+def _routing_problem(placement: InterposerPlacement,
+                     logic_bumps: List[Tuple[float, float]],
+                     memory_bumps: List[Tuple[float, float]],
+                     l2m_signals: int, l2l_signals: int
+                     ) -> Tuple[RoutingGrid, List[RoutedNet],
+                                List[Tuple[str, str, Tuple[float, float],
+                                           Tuple[float, float]]]]:
+    """Shared setup: the grid, pre-routed stacked vias, and the lateral
+    net list (name, kind, src_mm, dst_mm) both router variants consume."""
+    spec = placement.spec
+    grid = _routing_grid(placement)
 
     stacked: List[RoutedNet] = []
     todo: List[Tuple[str, str, Tuple[float, float], Tuple[float, float]]] = []
@@ -1801,19 +1812,7 @@ def _pin_problem(placement: InterposerPlacement,
         ``(grid, stacked, todo)`` for the shared router engines.
     """
     spec = placement.spec
-    if spec.style is IntegrationStyle.TSV_STACK:
-        raise ValueError("silicon 3D has no interposer to route; use the "
-                         "3D interconnect models instead")
-    signal_layers = max(1, spec.metal_layers - 2)  # 2 reserved for PDN
-    grid = RoutingGrid(placement.width_mm, placement.height_mm,
-                       signal_layers, spec.wire_pitch_um,
-                       diagonal=spec.routing is RoutingStyle.DIAGONAL)
-    cap_under = _die_escape_capacity(spec)
-    for die in placement.dies:
-        if die.level == "top":
-            grid.derate_region(die.x_mm, die.y_mm,
-                               die.x_mm + die.width_mm,
-                               die.y_mm + die.width_mm, cap_under)
+    grid = _routing_grid(placement)
 
     stacked: List[RoutedNet] = []
     todo: List[Tuple[str, str, Tuple[float, float], Tuple[float, float]]] = []

@@ -23,9 +23,7 @@ points are byte-identical.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import io
-import json
 import pickle
 import time
 from dataclasses import dataclass
@@ -33,7 +31,7 @@ from typing import Dict, Mapping, Optional, Tuple
 
 from ..arch.topology import validate_topology
 from ..core.flow import (DesignResult, FlowTaskSpec, OverridesKey,
-                         code_version, run_flow_task)
+                         content_token, run_flow_task)
 from ..tech.interposer import get_spec
 
 #: Request kinds the service evaluates (mirror the DSE evaluators).
@@ -144,22 +142,16 @@ class EvalRequest:
         req.validate()
         return req
 
-    def canonical_json(self) -> str:
-        """The canonical JSON string the cache token hashes."""
-        return json.dumps(self.to_dict(), sort_keys=True,
-                          separators=(",", ":"))
-
     def cache_token(self) -> str:
         """Content address of this request's result.
 
-        Hashes the canonical request *and* the package code version, so
-        a source edit invalidates every served entry exactly like the
-        flow disk cache — results can never go stale across deploys.
+        Hashes the canonical request *and* the package code version
+        (:func:`~repro.core.flow.content_token`, the scheme every result
+        cache keys on), so a source edit invalidates every served entry
+        exactly like the flow disk cache — results can never go stale
+        across deploys.
         """
-        digest = hashlib.sha256()
-        digest.update(self.canonical_json().encode())
-        digest.update(code_version().encode())
-        return digest.hexdigest()[:32]
+        return content_token(self.to_dict())
 
     def flow_task(self) -> FlowTaskSpec:
         """The :class:`FlowTaskSpec` a ``kind="flow"`` request runs."""

@@ -6,9 +6,9 @@ scheduler fans them onto the persistent warm worker pool
 (:mod:`repro.core.pool`), identical in-flight requests are deduped
 across clients by :meth:`EvalRequest.cache_token`, and completed
 results are served from the content-addressed shared tier
-(:class:`repro.serve.store.ContentStore`) layered over the flow disk
-cache.  Everything is stdlib: ``asyncio`` streams plus a minimal
-HTTP/1.1 handler — no new dependencies.
+(:class:`repro.serve.store.ContentStore`), which shares the flow disk
+cache's directory.  Everything is stdlib: ``asyncio`` streams plus a
+minimal HTTP/1.1 handler — no new dependencies.
 
 Endpoints (all JSON unless noted)::
 

@@ -1,13 +1,14 @@
-"""Content-addressed result store layered over ``results/.flow_cache/``.
+"""Content-addressed result store over the flow-cache directory.
 
 The store maps an :meth:`EvalRequest.cache_token` (request content +
 code version) to a pickled canonical :class:`ServeResult` in
 ``cas-<token>.pkl`` files.  It shares its directory with the flow's
-per-task disk cache, and reads *through* it: a flow request whose
-``DesignResult`` was already persisted by a direct
-:func:`~repro.core.flow.run_flow_task` call is wrapped and promoted
-into the content-addressed tier on first access — direct CLI runs,
-local sweeps, and served traffic all feed one shared tier.
+disk cache (``flow-<token>.pkl``, addressed by the same token scheme,
+see :func:`~repro.core.flow.content_token`) but never reads it: a flow
+request missing here is dispatched to a worker, whose
+:func:`~repro.core.flow.run_flow_task` serves it from the flow disk
+cache without recomputing when an earlier direct run, local sweep or
+served request already persisted it.
 
 Lifecycle management (``python -m repro cache``):
 
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from ..core.flow import (_disk_load, flow_cache_dir, task_disk_key)
+from ..core.flow import flow_cache_dir
 from .protocol import EvalRequest, ServeResult, canonical_dumps
 
 #: Filename of the persisted hit/miss counters inside the store root.
@@ -43,7 +44,7 @@ class StoreStats:
 
     Attributes:
         root: Store directory (``None`` when the cache is disabled).
-        entries: Number of result entries (content-addressed + legacy).
+        entries: Number of result entries (content-addressed + flow).
         cas_entries: Content-addressed entries only.
         total_bytes: Bytes held by all result entries.
         hits: Persisted lifetime read hits.
@@ -109,34 +110,14 @@ class ContentStore:
 
     def get(self, request: EvalRequest,
             count: bool = True) -> Optional[ServeResult]:
-        """Stored result for a request, or ``None``.
-
-        Flow requests fall back to the legacy per-task flow-cache entry
-        (written by direct ``run_flow_task`` calls and sweep workers)
-        and promote it into the content-addressed tier, so the service
-        shares results with every non-service code path.
-        """
-        token = request.cache_token()
-        payload = self.get_bytes(token)
+        """Stored result for a request, or ``None``."""
+        payload = self.get_bytes(request.cache_token())
         if payload is not None:
             try:
                 out = pickle.loads(payload)
             except Exception:  # noqa: BLE001 — corrupt entry is a miss
                 out = None
             if isinstance(out, ServeResult):
-                if count:
-                    self._bump(hits=1)
-                return out
-        if request.kind == "flow" and self.root is not None:
-            hit = _disk_load(task_disk_key(request.flow_task()))
-            if hit is not None:
-                from ..dse.evaluate import flow_metrics
-                out = ServeResult(
-                    request=request,
-                    metrics=dict(flow_metrics(hit),
-                                 design=request.design),
-                    result=hit)
-                self.put(request, out)
                 if count:
                     self._bump(hits=1)
                 return out
@@ -236,9 +217,8 @@ class ContentStore:
     def gc(self, max_bytes: int) -> Tuple[int, int]:
         """LRU-evict entries until the store is within ``max_bytes``.
 
-        Both content-addressed and legacy flow-cache entries count
-        toward (and are evicted from) the budget; oldest mtime goes
-        first.  Returns ``(entries_removed, bytes_freed)``.
+        Both content-addressed and flow-cache entries count toward
+        (and are evicted from) the budget; oldest mtime goes first.  Returns ``(entries_removed, bytes_freed)``.
         """
         if max_bytes < 0:
             raise ValueError(f"max_bytes must be >= 0, got {max_bytes}")

@@ -4,14 +4,15 @@ Regression coverage for the cache-key bug where a partial run
 (``with_eyes=False`` / ``with_thermal=False``) could be served a stale
 entry or poison later full runs: the in-process cache is now keyed on
 the flags, and partial requests may only be *upgraded* from a full
-entry, never the reverse.
+entry, never the reverse — in the in-process and the disk tier alike.
 """
 
 import pytest
 
 from repro.core import flow
-from repro.core.flow import (clear_cache, clear_disk_cache, code_version,
-                             run_design, run_designs)
+from repro.core.flow import (FlowTaskSpec, clear_cache, clear_disk_cache,
+                             code_version, run_design, run_designs,
+                             run_flow_task)
 
 SCALE = 0.015
 SEED = 9
@@ -49,6 +50,16 @@ class TestFlagAwareCache:
         partial = run_design("glass_25d", scale=SCALE, seed=SEED,
                              with_eyes=False)
         assert partial is full
+
+    def test_partial_task_upgraded_from_full_disk_entry(self):
+        full = run_flow_task(FlowTaskSpec("silicon_3d", scale=SCALE,
+                                          seed=SEED))
+        assert full.ok and full.result.thermal is not None
+        clear_cache()  # only the full run's disk entry is left
+        partial = run_flow_task(FlowTaskSpec("silicon_3d", scale=SCALE,
+                                             seed=SEED, with_thermal=False))
+        assert partial.ok and partial.cached
+        assert partial.result.thermal is not None
 
     def test_stage_times_recorded(self):
         r = run_design("glass_25d", scale=SCALE, seed=SEED)

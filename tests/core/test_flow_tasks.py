@@ -65,7 +65,18 @@ class TestRunFlowTask:
         b = FlowTaskSpec(design="glass_3d",
                          spec_overrides=(("a", 2.0), ("b", 1.0)))
         assert a == b
-        assert a.cache_key() == b.cache_key()
+        assert a.cache_token() == b.cache_token()
+
+    def test_alias_is_one_address(self):
+        alias = FlowTaskSpec(design="glass-2.5d", scale=SCALE)
+        assert alias.design == "glass_25d"
+        assert alias.cache_token() \
+            == FlowTaskSpec(design="glass_25d", scale=SCALE).cache_token()
+        first = run_design("silicon_3d", scale=SCALE, seed=SEED,
+                           with_eyes=False, with_thermal=False)
+        again = run_design("Silicon-3D", scale=SCALE, seed=SEED,
+                           with_eyes=False, with_thermal=False)
+        assert again is first
 
 
 class TestFrequencyKeysCaches:
@@ -73,8 +84,8 @@ class TestFrequencyKeysCaches:
     cache layer — a frequency sweep must never be served stale hits."""
 
     def test_cache_key_includes_frequency(self):
-        assert cheap_task().cache_key() \
-            != cheap_task(target_frequency_mhz=900.0).cache_key()
+        assert cheap_task().cache_token() \
+            != cheap_task(target_frequency_mhz=900.0).cache_token()
 
     def test_frequency_misses_memory_cache(self):
         base = run_flow_task(cheap_task())

@@ -1,5 +1,5 @@
-"""Content-addressed store tests: round trips, the legacy flow-cache
-read-through, counters, and LRU garbage collection."""
+"""Content-addressed store tests: round trips, counters, and LRU
+garbage collection over the shared cache directory."""
 
 import os
 import time
@@ -59,24 +59,6 @@ class TestRoundTrip:
         assert disabled.stats().entries == 0
 
 
-class TestLegacyReadThrough:
-    def test_flow_request_promotes_disk_cache_entry(self, store):
-        req = EvalRequest(scale=0.02, with_eyes=False,
-                          with_thermal=False)
-        # A direct (non-service) flow run persists the legacy entry.
-        direct = run_flow_task(req.flow_task())
-        assert direct.ok
-        token = req.cache_token()
-        assert store.get_bytes(token) is None  # not yet promoted
-        hit = store.get(req)
-        assert hit is not None and hit.ok
-        assert hit.metrics["power_mw"] == \
-            direct.result.fullchip.total_power_mw
-        assert hit.metrics["design"] == "glass_25d"
-        # Promotion: now content-addressed too.
-        assert store.get_bytes(token) is not None
-
-
 class TestCounters:
     def test_hits_and_misses_persist(self, store):
         req = EvalRequest(kind="geometry")
@@ -124,10 +106,10 @@ class TestGc:
         assert store.get_bytes(reqs[0].cache_token()) is not None
         assert store.get_bytes(reqs[1].cache_token()) is None
 
-    def test_gc_counts_legacy_entries(self, store, monkeypatch):
+    def test_gc_counts_flow_cache_entries(self, store):
         req = EvalRequest(scale=0.02, with_eyes=False,
                           with_thermal=False)
-        assert run_flow_task(req.flow_task()).ok  # legacy .pkl entry
+        assert run_flow_task(req.flow_task()).ok  # flow-<token>.pkl entry
         assert store.stats().entries >= 1
         removed, _ = store.gc(0)
         assert removed >= 1
