@@ -9,6 +9,12 @@ Three jobs:
 * Gate the interposer routing stage (``flow_routing_s``), its maze
   phase (``flow_maze_s``), and the eye stage (``flow_eyes_s``) against
   the recorded baselines (fail past ``REGRESSION_FACTOR``).
+* Gate the diagonal (organic-interposer) maze on ``apx`` at the same
+  scale and seed: its ``routing/maze`` time (``flow_maze_diagonal_s``,
+  2x gate) and its A* expansion count (``flow_maze_nodes_diagonal``,
+  exact).  A silent fallback from the compiled diagonal A* to the
+  scalar reference is ~20x slower and reports no expansions, so it
+  fails on any machine.
 * Gate the flow's LU factorization count (``flow_mna_factorizations``)
   and DC/AC solve count (``flow_mna_solves``) — *counts*, not times, so
   any change that silently drops the AC engine off its block-factorized
@@ -176,6 +182,34 @@ def test_maze_phase_not_regressed(flow_run):
     assert elapsed <= baseline * REGRESSION_FACTOR, (
         f"maze phase took {elapsed:.4f}s vs baseline {baseline:.4f}s "
         f"(>{REGRESSION_FACTOR}x regression)")
+
+
+@pytest.fixture(scope="module")
+def diagonal_flow_run():
+    """``apx`` end to end: the diagonal-routing counterpart of
+    ``flow_run`` (its rip-up maze runs the compiled diagonal A*)."""
+    clear_cache()
+    return run_design("apx", scale=0.02, seed=7, use_cache=False)
+
+
+def test_diagonal_maze_not_regressed(diagonal_flow_run):
+    """The diagonal maze phase must stay within 2x of its baseline."""
+    elapsed = diagonal_flow_run.stage_times["routing/maze"]
+    baseline = _gate_or_rebase("flow_maze_diagonal_s", elapsed)
+    assert elapsed <= baseline * REGRESSION_FACTOR, (
+        f"diagonal maze phase took {elapsed:.4f}s vs baseline "
+        f"{baseline:.4f}s (>{REGRESSION_FACTOR}x regression)")
+
+
+def test_diagonal_maze_nodes_gated(diagonal_flow_run):
+    """A* expansions on the diagonal grid are a deterministic count;
+    the scalar fallback reports none, so losing the kernel fails here."""
+    nodes = diagonal_flow_run.route.stats.maze_nodes
+    baseline = _gate_or_rebase("flow_maze_nodes_diagonal", nodes,
+                               digits=0)
+    assert nodes == baseline, (
+        f"diagonal maze expanded {nodes} A* nodes vs the recorded "
+        f"{baseline}")
 
 
 def test_eye_stage_not_regressed(flow_run):

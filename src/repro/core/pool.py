@@ -29,9 +29,15 @@ _R = TypeVar("_R")
 
 
 def _warm_import() -> None:
-    """Worker initializer: pre-import the flow so first tasks run warm."""
+    """Worker initializer: pre-import the flow so first tasks run warm.
+
+    Also loads (compiling if needed) the C maze kernel, so no worker
+    opens it, or waits on the compiler, while serving a request.
+    """
     import repro.core.flow  # noqa: F401
     import repro.dse.evaluate  # noqa: F401
+    from repro.interposer._mazekernel import load_kernel
+    load_kernel()
 
 
 def get_pool(jobs: int) -> Tuple[ProcessPoolExecutor, bool]:

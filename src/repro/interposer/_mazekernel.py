@@ -1,30 +1,34 @@
-"""Runtime-compiled C dial Dijkstra for the maze router's hot sweep.
+"""Runtime-compiled C kernels for the maze router's searches.
 
-The distance-field oracle in :mod:`repro.interposer.routing` reduces
-each congestion-aware A* maze call to one single-source shortest-path
-sweep over the A*-reweighted grid.  All reweighted edge costs are small
-integers (lateral 0/2, via 3, overflow +12, max 15), which makes a
-*dial* (bucket-queue) Dijkstra the right engine: a circular array of
-``max_weight + 1`` doubly-linked buckets gives O(1) push, pop and
-decrease-key, so the sweep runs in O(V + E·C) with a tiny constant —
-roughly an order of magnitude below both the binary-heap scalar search
-and a general sparse-graph Dijkstra.
+One shared object holds two entry points, one per grid style:
 
-Because the kernel drains bucket levels in order, it can stop as soon
-as the goal's distance level is fully drained: exactly the states with
-``dist <= dist(goal)`` are finalized, which is precisely the set the
-oracle's expansion-count and path-reconstruction formulas need.  No
-search window, upper bound, or iterative deepening is required — the
-sweep is output-sensitive by construction.
+* ``maze_dial`` — Manhattan grids.  The distance-field oracle in
+  :mod:`repro.interposer.routing` reduces each congestion-aware A* maze
+  call to one single-source shortest-path sweep over the A*-reweighted
+  grid.  All reweighted edge costs are small integers (lateral 0/2,
+  via 3, overflow +12, max 15), which makes a *dial* (bucket-queue)
+  Dijkstra the right engine: a circular array of ``max_weight + 1``
+  doubly-linked buckets gives O(1) push, pop and decrease-key, so the
+  sweep runs in O(V + E·C) with a tiny constant.  Because the kernel
+  drains bucket levels in order, it can stop as soon as the goal's
+  distance level is fully drained: exactly the states with
+  ``dist <= dist(goal)`` are finalized, which is precisely the set the
+  oracle's expansion-count and path-reconstruction formulas need.
+* ``maze_astar_diag`` — diagonal (organic-interposer) grids.  Their
+  costs involve sqrt(2) steps and a fractional heuristic, so there is
+  no integer reweighting; instead the kernel is a line-for-line port of
+  the scalar heap A* (``RoutingGrid.maze_route_scalar``) with the same
+  ``(f, g, index)`` keys and the same double arithmetic, returning the
+  same path and expansion count.
 
 The C source below is compiled once per toolchain with the system C
-compiler into ``<repo>/.build_cache/`` (content-hashed, so stale
-objects are never reused) and loaded through :mod:`ctypes`.  Anything
-going wrong — no compiler, sandboxed filesystem, exotic platform —
-degrades silently to ``None`` and the router falls back to its scipy
-engine, and behind that the scalar reference.  Set ``REPRO_NO_CCOMPILE=1``
-to disable the kernel explicitly (tests use this to pin the fallback
-chain).
+compiler into ``<repo>/.build_cache/`` (the file name hashes the source
+and the compiler flags, so stale objects are never reused) and loaded
+through :mod:`ctypes`.  Anything going wrong — no compiler, sandboxed
+filesystem, exotic platform — degrades silently to ``None``: Manhattan
+grids then use the router's scipy engine, diagonal grids the scalar
+reference.  Set ``REPRO_NO_CCOMPILE=1`` to disable both kernels
+explicitly (tests use this to pin the fallback chain).
 """
 
 from __future__ import annotations
@@ -47,8 +51,15 @@ ENV_DISABLE = "REPRO_NO_CCOMPILE"
 #: edge weight (15), and a power of two keeps the modulo a mask.
 _NUM_BUCKETS = 16
 
+#: Compiler flags.  ``-ffp-contract=off`` forbids fusing ``a + b * c``
+#: into an FMA, which would round differently from the Python reference
+#: the diagonal search must match bit for bit.
+_CFLAGS = ["-O2", "-fPIC", "-shared", "-ffp-contract=off"]
+
 _SOURCE = r"""
+#include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 
 #define NB 16  /* circular buckets; > max edge weight (15) */
 
@@ -203,15 +214,206 @@ int64_t maze_dial(const uint8_t *over,
     out[2] = nt;
     return 0;
 }
+
+/* Diagonal-grid A*: a port of the diagonal branch of the scalar
+ * reference search (RoutingGrid.maze_route_scalar).
+ *
+ * State encoding matches the reference: index = (l * ny + y) * nx + x.
+ * Every layer moves in all 8 lateral directions (step 1 or sqrt(2));
+ * vias step between adjacent layers.  Entering an over-capacity state
+ * adds over_cost.  The heuristic is the octile-style
+ * h = max(ay, ax) + 0.41421 * min(ay, ax), and every double operation
+ * (cost sums, heuristic, f = g + h) is evaluated in the reference's
+ * order, so keys agree bit for bit.  The open list is a binary
+ * min-heap keyed by (f, g, index) with lazy deletion; a state is only
+ * re-pushed with a strictly smaller g, so keys are unique and the pop
+ * order -- hence the path and the expansion count -- equals the
+ * reference's heapq order.
+ *
+ * dist (+inf), done (0) and prev are caller-owned scratch arrays of
+ * length n; touched records every state whose dist was written, and
+ * the kernel restores dist/done for exactly those states before it
+ * returns, so the scratch is clean for the next call.  The heap is
+ * malloc'd per call and grows on demand.
+ *
+ * Outputs: path[0 .. out[0]) = goal path from start (out[0] = 0 when
+ *          no path was returned: unreachable or budget exhausted),
+ *          out[1] = expansions (pops of fresh states, as the reference
+ *          counts them; max_nodes + 1 on budget exhaustion).
+ * Returns 0 on success, -1 when the heap could not be allocated.
+ */
+typedef struct { double f, g; int32_t s; } hent_t;
+
+static int hless(const hent_t *a, const hent_t *b)
+{
+    if (a->f != b->f) return a->f < b->f;
+    if (a->g != b->g) return a->g < b->g;
+    return a->s < b->s;
+}
+
+static double heur(int32_t y, int32_t x, int32_t ty, int32_t tx)
+{
+    const int32_t ay = y >= ty ? y - ty : ty - y;
+    const int32_t ax = x >= tx ? x - tx : tx - x;
+    return (double)(ay > ax ? ay : ax)
+        + 0.41421 * (double)(ay < ax ? ay : ax);
+}
+
+int64_t maze_astar_diag(const uint8_t *over,
+                        double *dist, uint8_t *done, int32_t *prev,
+                        int32_t *touched, int32_t *path,
+                        int32_t L, int32_t ny, int32_t nx,
+                        int32_t sy, int32_t sx, int32_t ty, int32_t tx,
+                        double via_cost, double over_cost,
+                        int64_t max_nodes, int64_t *out)
+{
+    static const int32_t DY[8] = {0, 0, 1, -1, 1, 1, -1, -1};
+    static const int32_t DX[8] = {1, -1, 0, 0, 1, -1, 1, -1};
+    const double SQ2 = 1.4142135623730951;  /* math.sqrt(2.0) */
+    const int32_t plane = ny * nx;
+    const int32_t start = sy * nx + sx;
+    const int32_t goal = ty * nx + tx;
+    const double via_over = via_cost + over_cost;
+    double wlat[8], wlat_over[8];
+    int64_t cap = 1024, hn = 0, nt = 0, expansions = 0, plen = 0;
+    int64_t i;
+    int rc = 0;
+    hent_t *heap = (hent_t *)malloc((size_t)cap * sizeof(hent_t));
+
+    if (heap == NULL)
+        return -1;
+    for (i = 0; i < 8; i++) {
+        wlat[i] = (DY[i] && DX[i]) ? SQ2 : 1.0;
+        wlat_over[i] = wlat[i] + over_cost;
+    }
+
+#define HPUSH(ff, gg, ss) do { \
+        hent_t e_; int64_t c_; \
+        if (hn == cap) { \
+            hent_t *grown_ = (hent_t *)realloc( \
+                heap, (size_t)(2 * cap) * sizeof(hent_t)); \
+            if (grown_ == NULL) { rc = -1; goto done_; } \
+            heap = grown_; \
+            cap *= 2; \
+        } \
+        e_.f = (ff); e_.g = (gg); e_.s = (ss); \
+        c_ = hn++; \
+        while (c_ > 0) { \
+            const int64_t p_ = (c_ - 1) >> 1; \
+            if (!hless(&e_, &heap[p_])) break; \
+            heap[c_] = heap[p_]; \
+            c_ = p_; \
+        } \
+        heap[c_] = e_; \
+    } while (0)
+
+#define HRELAX(u, ng, hh) do { \
+        const int32_t u_ = (u); \
+        const double ng_ = (ng); \
+        if (ng_ < dist[u_]) { \
+            if (dist[u_] == INFINITY) touched[nt++] = u_; \
+            dist[u_] = ng_; \
+            prev[u_] = v; \
+            HPUSH(ng_ + (hh), ng_, u_); \
+        } \
+    } while (0)
+
+    dist[start] = 0.0;
+    prev[start] = -1;
+    touched[nt++] = start;
+    HPUSH(heur(sy, sx, ty, tx), 0.0, start);
+
+    while (hn > 0) {
+        const hent_t top = heap[0];
+        const int32_t v = top.s;
+        const double g = top.g;
+        /* pop: sift the last entry down from the root */
+        if (--hn > 0) {
+            const hent_t last = heap[hn];
+            int64_t c = 0;
+            for (;;) {
+                int64_t k = 2 * c + 1;
+                if (k >= hn) break;
+                if (k + 1 < hn && hless(&heap[k + 1], &heap[k])) k++;
+                if (!hless(&heap[k], &last)) break;
+                heap[c] = heap[k];
+                c = k;
+            }
+            heap[c] = last;
+        }
+        if (done[v])
+            continue;
+        done[v] = 1;
+        expansions++;
+        if (expansions > max_nodes)
+            break;
+        if (v == goal) {
+            int32_t s = v;
+            while (s >= 0) {
+                path[plen++] = s;
+                s = prev[s];
+            }
+            for (i = 0; i < plen / 2; i++) {
+                const int32_t t = path[i];
+                path[i] = path[plen - 1 - i];
+                path[plen - 1 - i] = t;
+            }
+            break;
+        }
+        {
+            const int32_t l = v / plane;
+            const int32_t r = v - l * plane;
+            const int32_t y = r / nx;
+            const int32_t x = r - y * nx;
+            int d;
+            for (d = 0; d < 8; d++) {
+                const int32_t yy = y + DY[d];
+                const int32_t xx = x + DX[d];
+                if (yy >= 0 && yy < ny && xx >= 0 && xx < nx) {
+                    const int32_t u = v + DY[d] * nx + DX[d];
+                    const double w = over[u] ? wlat_over[d] : wlat[d];
+                    HRELAX(u, g + w, heur(yy, xx, ty, tx));
+                }
+            }
+            if (l > 0 || l < L - 1) {
+                const double hh = heur(y, x, ty, tx);
+                if (l > 0) {
+                    const int32_t u = v - plane;
+                    HRELAX(u, g + (over[u] ? via_over : via_cost), hh);
+                }
+                if (l < L - 1) {
+                    const int32_t u = v + plane;
+                    HRELAX(u, g + (over[u] ? via_over : via_cost), hh);
+                }
+            }
+        }
+    }
+
+done_:
+    for (i = 0; i < nt; i++) {
+        dist[touched[i]] = INFINITY;
+        done[touched[i]] = 0;
+    }
+    free(heap);
+    out[0] = plen;
+    out[1] = expansions;
+    return rc;
+}
 """
 
-_kernel: Optional[ctypes.CFUNCTYPE] = None
+_kernel: Optional[ctypes.CDLL] = None
 _kernel_tried = False
 
 
 def _build_cache_dir() -> Path:
     """Compiled-object cache directory (inside the repository)."""
     return Path(__file__).resolve().parents[3] / ".build_cache"
+
+
+def _so_name() -> str:
+    """Object file name: a hash of the source and the compiler flags."""
+    key = "\0".join([_SOURCE] + _CFLAGS)
+    return f"mazekernel_{hashlib.sha256(key.encode()).hexdigest()[:16]}.so"
 
 
 def _compile(cache_dir: Path, so_path: Path) -> bool:
@@ -225,7 +427,7 @@ def _compile(cache_dir: Path, so_path: Path) -> bool:
         tmp_so = tmp_c[:-2] + ".so"
         try:
             proc = subprocess.run(
-                [compiler, "-O2", "-fPIC", "-shared", "-o", tmp_so, tmp_c],
+                [compiler, *_CFLAGS, "-o", tmp_so, tmp_c],
                 capture_output=True, timeout=120)
             if proc.returncode != 0:
                 _LOG.debug("maze kernel compile failed: %s",
@@ -243,12 +445,13 @@ def _compile(cache_dir: Path, so_path: Path) -> bool:
         return False
 
 
-def load_kernel():
-    """The compiled ``maze_dial`` entry point, or ``None``.
+def load_kernel() -> Optional[ctypes.CDLL]:
+    """The compiled kernel library, or ``None``.
 
-    Compiles on first use (content-hashed cache under
-    ``<repo>/.build_cache/``), memoizes the loaded function for the
-    process, and returns ``None`` — never raises — when the kernel is
+    The library exposes ``maze_dial`` and ``maze_astar_diag`` with their
+    ctypes signatures set.  Compiles on first use (hashed cache under
+    ``<repo>/.build_cache/``), memoizes the library for the process,
+    and returns ``None`` — never raises — when the kernel is
     unavailable for any reason.
     """
     global _kernel, _kernel_tried
@@ -258,18 +461,18 @@ def load_kernel():
     if os.environ.get(ENV_DISABLE, "") not in ("", "0"):
         return None
     try:
-        digest = hashlib.sha256(_SOURCE.encode()).hexdigest()[:16]
         cache_dir = _build_cache_dir()
-        so_path = cache_dir / f"mazekernel_{digest}.so"
+        so_path = cache_dir / _so_name()
         if not so_path.exists() and not _compile(cache_dir, so_path):
             return None
         lib = ctypes.CDLL(str(so_path))
-        fn = lib.maze_dial
         i32p = ctypes.POINTER(ctypes.c_int32)
-        fn.restype = ctypes.c_int64
-        fn.argtypes = [
-            ctypes.POINTER(ctypes.c_uint8),            # over
-            i32p, ctypes.POINTER(ctypes.c_uint8),      # dist, done
+        u8p = ctypes.POINTER(ctypes.c_uint8)
+        i64p = ctypes.POINTER(ctypes.c_int64)
+        lib.maze_dial.restype = ctypes.c_int64
+        lib.maze_dial.argtypes = [
+            u8p,                                       # over
+            i32p, u8p,                                 # dist, done
             i32p, i32p, i32p,                          # nxt, prv, touched
             ctypes.c_int64,                            # n_touched_prev
             ctypes.c_int64, ctypes.c_int32,            # n, L
@@ -277,9 +480,24 @@ def load_kernel():
             ctypes.c_int32, ctypes.c_int32,            # start, ty
             ctypes.c_int32,                            # tx
             ctypes.c_int32, ctypes.c_int32,            # via, over_cost
-            ctypes.POINTER(ctypes.c_int64),            # out
+            i64p,                                      # out
         ]
-        _kernel = fn
+        # Pointer arguments of the diagonal search are raw addresses of
+        # persistent numpy buffers (see routing._DiagonalAStar).
+        ptr = ctypes.c_void_p
+        lib.maze_astar_diag.restype = ctypes.c_int64
+        lib.maze_astar_diag.argtypes = [
+            ptr,                                       # over
+            ptr, ptr, ptr,                             # dist, done, prev
+            ptr, ptr,                                  # touched, path
+            ctypes.c_int32, ctypes.c_int32,            # L, ny
+            ctypes.c_int32,                            # nx
+            ctypes.c_int32, ctypes.c_int32,            # sy, sx
+            ctypes.c_int32, ctypes.c_int32,            # ty, tx
+            ctypes.c_double, ctypes.c_double,          # via, over_cost
+            ctypes.c_int64, ptr,                       # max_nodes, out
+        ]
+        _kernel = lib
     except (OSError, AttributeError):
         _kernel = None
     return _kernel

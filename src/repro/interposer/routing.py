@@ -40,6 +40,12 @@ references, which stay available as ``path_cost_scalar``,
   (see :class:`_DistanceFieldOracle`), so results — including node-budget
   exhaustion — are bit-identical to the scalar A*.  Any anomaly falls
   back to the scalar search.
+* On diagonal (organic) grids the maze search runs the scalar A*
+  itself, compiled: ``maze_astar_diag`` in :mod:`._mazekernel` keeps
+  the reference's ``(f, g, index)`` heap keys and double arithmetic, so
+  paths and expansion counts match (see :class:`_DiagonalAStar`).
+  Without a C compiler (or with ``REPRO_NO_CCOMPILE=1``) these grids
+  run ``maze_route_scalar`` directly.
 """
 
 from __future__ import annotations
@@ -82,11 +88,6 @@ MAZE_NODE_BUDGET = 120000
 #: Maximum rip-up/reroute passes.
 RRR_ROUNDS = 2
 
-#: State-count ceiling for the numpy wavefront engine on diagonal
-#: grids; larger grids keep the scalar A*, whose search ellipse beats
-#: full-grid relaxation passes.
-WAVEFRONT_MAX_STATES = 20000
-
 
 def _integer_costs() -> bool:
     """Whether the cost constants are integer-valued (enables the
@@ -109,9 +110,10 @@ class RouterStats:
             up in both RRR rounds counts twice).
         rrr_rounds: Rip-up/reroute rounds that found victims.
         maze_calls: Maze searches issued (== ``nets_rerouted``).
-        maze_nodes: Total A* node expansions across maze searches (as
-            reported by the distance-field engine; scalar-engine calls
-            contribute 0).
+        maze_nodes: Total A* node expansions across maze searches, as
+            reported by the distance-field engine (Manhattan grids) and
+            the compiled diagonal A* (organic grids).  Calls that fall
+            back to the scalar reference contribute 0.
         maze_fallbacks: Reroutes whose maze search failed (node budget
             exhausted or no path) so the net kept its overflowing
             pattern route — previously swallowed silently.
@@ -280,6 +282,7 @@ class RoutingGrid:
                                 dtype=np.int32)
         self.occupancy = np.zeros_like(self.capacity)
         self._oracle: Optional[_DistanceFieldOracle] = None
+        self._astar: Optional[_DiagonalAStar] = None
 
     # ------------------------------------------------------------------ #
     # Setup.
@@ -630,10 +633,14 @@ class RoutingGrid:
         On Manhattan grids with integer cost constants the search is
         solved by the distance-field engine (:class:`_DistanceFieldOracle`),
         windowed by ``cost_ub`` — a known upper bound on the optimal path
-        cost, e.g. the cost of the path the net held before rip-up.  The
-        result (path, or ``None`` on node-budget exhaustion) is
-        bit-identical to :meth:`maze_route_scalar`; diagonal grids and
-        any engine anomaly fall back to the scalar search.
+        cost, e.g. the cost of the path the net held before rip-up.
+        Diagonal grids run the compiled A* (:class:`_DiagonalAStar`),
+        which ignores ``cost_ub``.  The result (path, or ``None`` on
+        node-budget exhaustion) is bit-identical to
+        :meth:`maze_route_scalar`, which itself serves diagonal grids
+        without the C kernel or with a negative cost constant, and
+        Manhattan grids with non-integer cost constants or a failing
+        distance-field engine.
         """
         path, _nodes, _engine = self._maze_route_info(src, dst, max_nodes,
                                                       cost_ub)
@@ -655,140 +662,16 @@ class RoutingGrid:
             except Exception:  # pragma: no cover — safety fallback
                 _LOG.exception("distance-field maze engine failed; "
                                "falling back to scalar A*")
-        if (self.diagonal and VIA_COST >= 0 and OVERFLOW_COST >= 0
-                and self.layers * self.ny * self.nx
-                <= WAVEFRONT_MAX_STATES):
-            try:
-                path, nodes = self._maze_wavefront(src, dst, max_nodes)
-                return path, nodes, "wavefront"
-            except Exception:  # pragma: no cover — safety fallback
-                _LOG.exception("wavefront maze engine failed; "
-                               "falling back to scalar A*")
+        if self.diagonal and VIA_COST >= 0 and OVERFLOW_COST >= 0:
+            astar = self._astar
+            if astar is None:
+                kernel = _load_maze_kernel()
+                if kernel is not None:
+                    astar = self._astar = _DiagonalAStar(self, kernel)
+            if astar is not None:
+                path, nodes = astar.route(src, dst, max_nodes)
+                return path, nodes, "astar_kernel"
         return self.maze_route_scalar(src, dst, max_nodes), 0, "scalar"
-
-    def _maze_wavefront(self, src: Tuple[int, int], dst: Tuple[int, int],
-                        max_nodes: int
-                        ) -> Tuple[Optional[List[Tuple[int, int, int]]],
-                                   int]:
-        """Numpy-frontier wavefront maze search for diagonal grids.
-
-        Synchronous Bellman-Ford relaxation passes over dense
-        ``(layer, y, x)`` arrays until the distance field reaches its
-        fixpoint.  Both this and the scalar Dijkstra compute, per state,
-        the *minimum over all paths of the left-to-right float path
-        sum* (Dijkstra by the greedy argument — float addition of
-        non-negative weights is monotone — and Bellman-Ford by
-        definition of its fixpoint), so the fields agree bit for bit
-        and the scalar A*'s result can be reconstructed from the field
-        exactly, the same way the Manhattan oracle does it.
-        """
-        sy, sx = src
-        ty, tx = dst
-        L, ny, nx = self.layers, self.ny, self.nx
-        over = self.occupancy >= self.capacity
-        sq2 = math.sqrt(2.0)
-        # Entering-cost per cell and move class, matching the scalar
-        # search's ``step + over_cost`` evaluation order exactly.
-        w_card = np.where(over, 1.0 + OVERFLOW_COST, 1.0)
-        w_diag = np.where(over, sq2 + OVERFLOW_COST, sq2)
-        w_via = np.where(over, VIA_COST + OVERFLOW_COST,
-                         float(VIA_COST))
-        dist = np.full((L, ny, nx), np.inf)
-        dist[0, sy, sx] = 0.0
-        lateral = (((0, 1), w_card), ((0, -1), w_card),
-                   ((1, 0), w_card), ((-1, 0), w_card),
-                   ((1, 1), w_diag), ((1, -1), w_diag),
-                   ((-1, 1), w_diag), ((-1, -1), w_diag))
-
-        def _shift(dy: int, dx: int):
-            """dest/src slicing index pairs for a (dy, dx) move."""
-            d_y = slice(max(dy, 0), ny + min(dy, 0))
-            s_y = slice(max(-dy, 0), ny + min(-dy, 0))
-            d_x = slice(max(dx, 0), nx + min(dx, 0))
-            s_x = slice(max(-dx, 0), nx + min(-dx, 0))
-            return (slice(None), d_y, d_x), (slice(None), s_y, s_x)
-
-        slices = [(_shift(dy, dx), w) for (dy, dx), w in lateral]
-        for _ in range(L * ny * nx + 2):
-            nd = dist.copy()
-            for (di, si), w in slices:
-                np.minimum(nd[di], dist[si] + w[di], out=nd[di])
-            if L > 1:
-                np.minimum(nd[1:], dist[:-1] + w_via[1:], out=nd[1:])
-                np.minimum(nd[:-1], dist[1:] + w_via[:-1], out=nd[:-1])
-            if np.array_equal(nd, dist):
-                break
-            dist = nd
-        else:  # pragma: no cover — fixpoint is reached within n passes
-            raise RuntimeError("wavefront did not converge")
-
-        s = dist[0, ty, tx]
-        if not np.isfinite(s):
-            return None, 0
-        yy, xx = np.meshgrid(np.arange(ny), np.arange(nx), indexing="ij")
-        ay = np.abs(yy - ty)
-        ax = np.abs(xx - tx)
-        h = np.maximum(ay, ax) + 0.41421 * np.minimum(ay, ax)
-        f = dist + h[None, :, :]
-        # Expansions: pops strictly keyed before the goal, plus the goal.
-        # Key is (f, g, flat index); f == s ties with g == s have h == 0,
-        # i.e. the goal column, where the goal (layer 0) pops first.
-        n_before = (int(np.count_nonzero(f < s))
-                    + int(np.count_nonzero(f == s))
-                    - int(np.count_nonzero(f[:, ty, tx] == s)))
-        expansions = n_before + 1
-        if expansions > max_nodes:
-            return None, expansions
-        return self._wavefront_reconstruct(dist, h, over, sy, sx, ty,
-                                           tx), expansions
-
-    def _wavefront_reconstruct(self, dist: np.ndarray, h: np.ndarray,
-                               over: np.ndarray, sy: int, sx: int,
-                               ty: int, tx: int
-                               ) -> List[Tuple[int, int, int]]:
-        """Walk the wavefront field backwards along scalar prev links.
-
-        Among parents ``p`` with ``D[p] + w(p, cur) == D[cur]`` (exact
-        float compare — both sides are the same left-to-right path sum)
-        the scalar A*'s ``prev`` is the one finalized earliest, i.e.
-        with the smallest pop key ``(f, g, flat index)``.
-        """
-        L, ny, nx = self.layers, self.ny, self.nx
-        plane = ny * nx
-        sq2 = math.sqrt(2.0)
-        cl, cy, cx = 0, ty, tx
-        rev = [(0, ty, tx)]
-        while (cl, cy, cx) != (0, sy, sx):
-            enter = OVERFLOW_COST if over[cl, cy, cx] else 0.0
-            target = dist[cl, cy, cx]
-            cand = []
-            for dy, dx in ((0, 1), (0, -1), (1, 0), (-1, 0),
-                           (1, 1), (1, -1), (-1, 1), (-1, -1)):
-                py, px = cy - dy, cx - dx
-                if 0 <= py < ny and 0 <= px < nx:
-                    step = sq2 if (dy and dx) else 1.0
-                    cand.append((cl, py, px, step + enter))
-            if cl > 0:
-                cand.append((cl - 1, cy, cx, VIA_COST + enter))
-            if cl < L - 1:
-                cand.append((cl + 1, cy, cx, VIA_COST + enter))
-            best_key = None
-            best = None
-            for pl, py, px, w in cand:
-                dp = dist[pl, py, px]
-                if np.isfinite(dp) and dp + w == target:
-                    key = (dp + h[py, px], dp,
-                           pl * plane + py * nx + px)
-                    if best_key is None or key < best_key:
-                        best_key = key
-                        best = (pl, py, px)
-            if best is None:
-                raise RuntimeError("wavefront reconstruction found no "
-                                   "optimal parent")
-            cl, cy, cx = best
-            rev.append(best)
-        rev.reverse()
-        return rev
 
     def maze_route_scalar(self, src: Tuple[int, int],
                           dst: Tuple[int, int],
@@ -1346,7 +1229,7 @@ class _DistanceFieldOracle:
         """One dial-Dijkstra sweep; returns (goal distance, finalized)."""
         i32p = ctypes.POINTER(ctypes.c_int32)
         u8p = ctypes.POINTER(ctypes.c_uint8)
-        self._kernel(
+        self._kernel.maze_dial(
             self.over.view(np.uint8).ctypes.data_as(u8p),
             self._kdist.ctypes.data_as(i32p),
             self._kdone.ctypes.data_as(u8p),
@@ -1418,6 +1301,52 @@ class _DistanceFieldOracle:
             rev.append((cl, cy, cx))
         rev.reverse()
         return rev
+
+
+class _DiagonalAStar:
+    """Maze A* on a diagonal grid through the compiled kernel.
+
+    ``maze_astar_diag`` replays :meth:`RoutingGrid.maze_route_scalar`'s
+    diagonal search in C — same ``(f, g, flat index)`` heap keys, same
+    double arithmetic — so it returns the same path and expansion
+    count.  This object owns the per-grid scratch the kernel reuses
+    across calls: distances start at +inf and the closed flags at 0,
+    and the kernel restores both for the states it touched before it
+    returns.  The open-list heap lives inside the kernel and grows on
+    demand.
+    """
+
+    def __init__(self, grid: RoutingGrid, kernel: ctypes.CDLL):
+        self.grid = grid
+        self.fn = kernel.maze_astar_diag
+        n = grid.layers * grid.ny * grid.nx
+        self.over = np.empty(grid.occupancy.shape, dtype=np.bool_)
+        self.dist = np.full(n, np.inf)
+        self.done = np.zeros(n, dtype=np.uint8)
+        self.prev = np.empty(n, dtype=np.int32)
+        self.touched = np.empty(n, dtype=np.int32)
+        self.path = np.empty(n, dtype=np.int32)
+        self.out = np.zeros(2, dtype=np.int64)
+        self._ptrs = tuple(a.ctypes.data for a in (
+            self.over, self.dist, self.done, self.prev, self.touched,
+            self.path))
+
+    def route(self, src: Tuple[int, int], dst: Tuple[int, int],
+              max_nodes: int
+              ) -> Tuple[Optional[List[Tuple[int, int, int]]], int]:
+        """Exact maze result: (path or None, A* expansion count)."""
+        g = self.grid
+        np.greater_equal(g.occupancy, g.capacity, out=self.over)
+        rc = self.fn(*self._ptrs, g.layers, g.ny, g.nx, src[0], src[1],
+                     dst[0], dst[1], float(VIA_COST), float(OVERFLOW_COST),
+                     max_nodes, self.out.ctypes.data)
+        if rc != 0:  # pragma: no cover
+            raise MemoryError("maze_astar_diag could not allocate its heap")
+        plen, expansions = int(self.out[0]), int(self.out[1])
+        if plen == 0:
+            return None, expansions
+        lyx = np.unravel_index(self.path[:plen], g.occupancy.shape)
+        return list(zip(*(a.tolist() for a in lyx))), expansions
 
 
 def _die_escape_capacity(spec: InterposerSpec,

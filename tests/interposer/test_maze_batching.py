@@ -1,4 +1,4 @@
-"""Batched maze engine: dial kernel, field cache, wavefront fallback.
+"""Batched maze engines: dial kernel, field cache, diagonal A* kernel.
 
 Property tests for the PR that retired the maze-routing hot spot:
 
@@ -10,10 +10,13 @@ Property tests for the PR that retired the maze-routing hot spot:
 * the per-(src, dst) distance-field result cache must answer repeat
   calls without a fresh sweep (``fields_patched``), and must invalidate
   when overflow flags inside the cached bounding box change;
-* the numpy wavefront engine must serve small diagonal grids and match
-  the scalar search exactly;
-* with ``REPRO_NO_CCOMPILE=1`` the kernel must refuse to load and the
-  scipy fallback chain must still be bit-identical.
+* the compiled diagonal A* must serve diagonal grids of every size and
+  match the scalar search exactly: paths, expansion counts (probed
+  through the node budget), occupancy-flip sequences that reuse its
+  scratch arrays, and non-integer cost constants;
+* with ``REPRO_NO_CCOMPILE=1`` the kernel must refuse to load, the
+  scipy fallback chain must still be bit-identical, and diagonal grids
+  must run the scalar search.
 """
 
 import random
@@ -26,9 +29,9 @@ import repro.interposer.routing as routing
 from repro.interposer.routing import RoutingGrid
 
 
-def _random_grid(rng, diagonal=False, layers=None):
+def _random_grid(rng, diagonal=False, layers=None, max_mm=0.8):
     layers = layers if layers is not None else rng.choice([1, 2, 3, 5])
-    g = RoutingGrid(rng.uniform(0.3, 0.8), rng.uniform(0.3, 0.8),
+    g = RoutingGrid(rng.uniform(0.3, max_mm), rng.uniform(0.3, max_mm),
                     layers=layers, wire_pitch_um=4.0, diagonal=diagonal)
     occ = np.random.default_rng(rng.randrange(1 << 30)).integers(
         0, g.capacity.max() + 2, size=g.occupancy.shape)
@@ -180,49 +183,114 @@ class TestFieldCache:
         assert oracle.fields_patched == 1
 
 
-class TestWavefront:
-    """Numpy-frontier wavefront engine for small diagonal grids."""
+class TestDiagonalKernel:
+    """The compiled diagonal A* (``maze_astar_diag``) vs the scalar."""
 
-    def test_wavefront_selected_and_identical(self):
+    #: State count above which the retired numpy wavefront engine
+    #: handed diagonal grids to the scalar A*.
+    OLD_CAP = 20000
+
+    @pytest.fixture(autouse=True)
+    def _need_kernel(self):
+        if mazekernel.load_kernel() is None:
+            pytest.skip("no C compiler available — kernel path untestable")
+
+    @staticmethod
+    def _check(g, src, dst, budget=routing.MAZE_NODE_BUDGET):
+        path, nodes, engine = g._maze_route_info(src, dst, budget)
+        assert engine == "astar_kernel"
+        assert path == g.maze_route_scalar(src, dst, max_nodes=budget)
+        return path, nodes
+
+    def test_kernel_selected_and_identical(self):
         rng = random.Random(500)
-        engines = set()
-        for _ in range(20):
-            g = _random_grid(rng, diagonal=True, layers=rng.choice([1, 2]))
-            if g.layers * g.ny * g.nx > routing.WAVEFRONT_MAX_STATES:
-                continue
-            src, dst = _random_pair(rng, g)
-            path, _nodes, engine = g._maze_route_info(
-                src, dst, routing.MAZE_NODE_BUDGET)
-            engines.add(engine)
-            assert path == g.maze_route_scalar(src, dst)
-        assert engines == {"wavefront"}
+        sizes = set()
+        for layers in range(1, 7):
+            for _ in range(4):
+                g = _random_grid(rng, diagonal=True, layers=layers,
+                                 max_mm=2.0)
+                sizes.add(g.layers * g.ny * g.nx > self.OLD_CAP)
+                src, dst = _random_pair(rng, g)
+                self._check(g, src, dst)
+        assert sizes == {False, True}
 
-    def test_wavefront_budget_exhaustion_matches_scalar(self):
+    def test_grids_above_old_cap_use_kernel(self):
+        """Paper-sized organic grids (apx is 6 x 151 x 143 states)."""
+        rng = random.Random(503)
+        g = RoutingGrid(3.0, 2.8, layers=6, wire_pitch_um=4.0,
+                        diagonal=True)
+        assert g.layers * g.ny * g.nx > 5 * self.OLD_CAP
+        occ = np.random.default_rng(7).integers(
+            0, g.capacity.max() + 2, size=g.occupancy.shape)
+        g.occupancy[:] = occ.astype(g.occupancy.dtype)
+        for _ in range(3):
+            src, dst = _random_pair(rng, g)
+            self._check(g, src, dst)
+
+    def test_expansion_count_matches_scalar(self):
+        """The reported count is the scalar's: a budget of exactly that
+        many pops succeeds and one fewer fails, in both engines."""
+        rng = random.Random(504)
+        checked = 0
+        for _ in range(12):
+            g = _random_grid(rng, diagonal=True,
+                             layers=rng.choice([1, 2, 4, 6]))
+            src, dst = _random_pair(rng, g)
+            path, nodes = self._check(g, src, dst)
+            if path is None:
+                continue
+            assert nodes >= len(path)
+            assert self._check(g, src, dst, budget=nodes) == (path, nodes)
+            assert self._check(g, src, dst, budget=nodes - 1) \
+                == (None, nodes)
+            checked += 1
+        assert checked > 0
+
+    def test_budget_exhaustion_matches_scalar(self):
         rng = random.Random(501)
         hits = 0
         for _ in range(15):
-            g = _random_grid(rng, diagonal=True, layers=1)
-            if g.layers * g.ny * g.nx > routing.WAVEFRONT_MAX_STATES:
-                continue
+            g = _random_grid(rng, diagonal=True,
+                             layers=rng.choice([1, 3, 6]))
             src, dst = _random_pair(rng, g)
             for budget in (1, 64):
-                a = g.maze_route(src, dst, max_nodes=budget)
-                b = g.maze_route_scalar(src, dst, max_nodes=budget)
-                assert a == b
-                hits += a is None
+                path, nodes = self._check(g, src, dst, budget)
+                if path is None:
+                    assert nodes == budget + 1
+                    hits += 1
         assert hits > 0
 
-    def test_oversized_diagonal_grid_uses_scalar(self):
-        g = RoutingGrid(2.0, 2.0, layers=4, wire_pitch_um=4.0,
-                        diagonal=True)
-        assert g.layers * g.ny * g.nx > routing.WAVEFRONT_MAX_STATES
-        _path, _nodes, engine = g._maze_route_info(
-            (1, 1), (5, 5), routing.MAZE_NODE_BUDGET)
-        assert engine == "scalar"
+    def test_occupancy_flip_sequences(self):
+        """Scratch arrays persist per grid and are reset through the
+        touched list; stale state would show up after flips."""
+        rng = random.Random(502)
+        for _ in range(4):
+            g = _random_grid(rng, diagonal=True,
+                             layers=rng.choice([1, 2, 5]))
+            pairs = [_random_pair(rng, g) for _ in range(4)]
+            for step in range(5):
+                for src, dst in pairs:
+                    for budget in (64, routing.MAZE_NODE_BUDGET):
+                        self._check(g, src, dst, budget)
+                _flip_cells(rng, g, rng.randrange(1, 60))
+            assert np.isinf(g._astar.dist).all()
+            assert not g._astar.done.any()
+
+    @pytest.mark.parametrize("via, over", [(2.5, 7.25), (3.0, 0.1),
+                                           (0.7, 12.0)])
+    def test_non_integer_costs(self, monkeypatch, via, over):
+        monkeypatch.setattr(routing, "VIA_COST", via)
+        monkeypatch.setattr(routing, "OVERFLOW_COST", over)
+        rng = random.Random(505)
+        for _ in range(8):
+            g = _random_grid(rng, diagonal=True,
+                             layers=rng.choice([2, 3, 6]))
+            src, dst = _random_pair(rng, g)
+            self._check(g, src, dst)
 
 
 class TestCompileGate:
-    """``REPRO_NO_CCOMPILE`` must pin the scipy fallback chain."""
+    """``REPRO_NO_CCOMPILE`` must pin the scipy and scalar fallbacks."""
 
     @pytest.fixture
     def no_ccompile(self, monkeypatch):
@@ -243,6 +311,18 @@ class TestCompileGate:
                 src, dst, routing.MAZE_NODE_BUDGET)
             assert engine == "oracle"
             assert g._oracle._kernel is None
+            assert path == g.maze_route_scalar(src, dst)
+
+    def test_diagonal_grids_run_scalar(self, no_ccompile):
+        rng = random.Random(322)
+        for _ in range(6):
+            g = _random_grid(rng, diagonal=True,
+                             layers=rng.choice([1, 2, 6]))
+            src, dst = _random_pair(rng, g)
+            path, nodes, engine = g._maze_route_info(
+                src, dst, routing.MAZE_NODE_BUDGET)
+            assert (engine, nodes) == ("scalar", 0)
+            assert g._astar is None
             assert path == g.maze_route_scalar(src, dst)
 
     def test_kernel_and_scipy_report_same_expansions(self, no_ccompile):
