@@ -27,8 +27,10 @@ Three jobs:
   fails on every machine.
 * Time the transient engine on a fixed PDN-style circuit and fail if it
   runs more than ``REGRESSION_FACTOR`` slower than the recorded baseline
-  in ``baseline.json``.  Re-record with ``REPRO_PERF_REBASE=1`` after an
-  intentional change (or on a machine much slower than the one that
+  in ``baseline.json`` (``simulate_pdn_ladder_s``, recorded on the
+  compiled stepping kernel: a silent fallback to the numpy loop is
+  ~7x slower and fails).  Re-record with ``REPRO_PERF_REBASE=1`` after
+  an intentional change (or on a machine much slower than the one that
   recorded it).
 """
 

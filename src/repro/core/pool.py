@@ -31,12 +31,13 @@ _R = TypeVar("_R")
 def _warm_import() -> None:
     """Worker initializer: pre-import the flow so first tasks run warm.
 
-    Also loads (compiling if needed) the C maze kernel, so no worker
-    opens it, or waits on the compiler, while serving a request.
+    Also loads (compiling if needed) the C kernel library — the maze
+    searches and the transient stepper — so no worker opens it, or
+    waits on the compiler, while serving a request.
     """
     import repro.core.flow  # noqa: F401
     import repro.dse.evaluate  # noqa: F401
-    from repro.interposer._mazekernel import load_kernel
+    from repro._ckernel import load_kernel
     load_kernel()
 
 

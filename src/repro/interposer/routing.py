@@ -41,7 +41,7 @@ references, which stay available as ``path_cost_scalar``,
   exhaustion — are bit-identical to the scalar A*.  Any anomaly falls
   back to the scalar search.
 * On diagonal (organic) grids the maze search runs the scalar A*
-  itself, compiled: ``maze_astar_diag`` in :mod:`._mazekernel` keeps
+  itself, compiled: ``maze_astar_diag`` in :mod:`repro._ckernel` keeps
   the reference's ``(f, g, index)`` heap keys and double arithmetic, so
   paths and expansion counts match (see :class:`_DiagonalAStar`).
   Without a C compiler (or with ``REPRO_NO_CCOMPILE=1``) these grids
@@ -68,7 +68,7 @@ except Exception:  # pragma: no cover — scipy ships with the package
     _HAVE_SCIPY = False
 
 from ..tech.interposer import InterposerSpec, IntegrationStyle, RoutingStyle
-from ._mazekernel import load_kernel as _load_maze_kernel
+from .._ckernel import load_kernel as _load_maze_kernel
 from .placement import InterposerPlacement, PlacedDie
 
 _LOG = logging.getLogger(__name__)

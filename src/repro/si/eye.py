@@ -18,8 +18,8 @@ Two engines produce the received waveform:
   re-stepping.  Circuits the bank cannot carry (nonlinear elements,
   singular DC) automatically fall back to full stepping.
 * ``engine="step"`` — the historical step-every-bit path, kept as the
-  golden reference and exposed as :func:`simulate_eye_scalar`; the two
-  agree to ≤1e-9 on all the designs' channels (covered by tests).
+  golden reference (``tests/oracles/eye.py`` wraps it); the two agree
+  to ≤1e-9 on all the designs' channels (covered by tests).
 """
 
 from __future__ import annotations
@@ -270,7 +270,7 @@ def simulate_eye(line: Optional[RlgcLine] = None,
         engine: ``"auto"`` synthesizes the waveform from the cached
             pulse-response bank when the channel is linear (falling back
             to stepping otherwise); ``"step"`` forces the full
-            trapezoidal run (the :func:`simulate_eye_scalar` reference).
+            trapezoidal run (the equivalence tests' reference).
 
     Returns:
         An :class:`EyeResult`.
@@ -303,19 +303,6 @@ def simulate_eye(line: Optional[RlgcLine] = None,
     high_min, low_max = fold_eye(time, wave, vic_bits[:usable], ui,
                                  latency, samples_per_ui)
     return eye_metrics(high_min, low_max, ui, vdd)
-
-
-def simulate_eye_scalar(*args, **kwargs) -> EyeResult:
-    """Step-every-bit reference for :func:`simulate_eye`.
-
-    Same signature as :func:`simulate_eye` (minus ``engine``); always
-    runs the full trapezoidal simulation.  The superposition engine is
-    pinned to this reference at ≤1e-9 by the equivalence tests.
-    """
-    if "engine" in kwargs:
-        raise TypeError("simulate_eye_scalar always uses the stepping "
-                        "engine; it takes no 'engine' argument")
-    return simulate_eye(*args, engine="step", **kwargs)
 
 
 def _offset_wave(wave, offset_s: float):

@@ -11,7 +11,7 @@ stacks), and the resulting sparse linear system is solved directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse
@@ -128,64 +128,58 @@ class ThermalGrid:
 
     # ------------------------------------------------------------------ #
 
-    def _index(self, z: int, y: int, x: int) -> int:
-        return (z * self.ny + y) * self.nx + x
+    def assemble(self) -> Tuple[scipy.sparse.csr_matrix, np.ndarray]:
+        """The conduction system ``(A, rhs)`` of :meth:`solve`.
+
+        Cells are numbered ``(z * ny + y) * nx + x``.  Each pair of
+        face neighbours couples through ``kh * area / pitch`` with the
+        harmonic-mean conductivity ``kh``; the top and bottom layers
+        also convect to ambient.  Every diagonal entry is summed in the
+        order a cell-by-cell walk in index order adds its terms — the
+        couplings to the -z, -y and -x neighbours, then to +x, +y and
+        +z, then top convection, then bottom — so the system is
+        byte-identical to the one that walk assembles.
+        """
+        k = self.k
+        nz, ny, nx = k.shape
+        n = nz * ny * nx
+        idx = np.arange(n).reshape(nz, ny, nx)
+        dz = self.dz[:, None, None]
+        area_z = self.dx * self.dy
+        gx = _hmean(k[:, :, :-1], k[:, :, 1:]) * (self.dy * dz) / self.dx
+        gy = _hmean(k[:, :-1, :], k[:, 1:, :]) * (self.dx * dz) / self.dy
+        gz = (_hmean(k[:-1], k[1:]) * area_z
+              / ((dz[:-1] + dz[1:]) / 2.0))
+
+        diag = np.zeros((nz, ny, nx))
+        diag[1:] += gz
+        diag[:, 1:, :] += gy
+        diag[:, :, 1:] += gx
+        diag[:, :, :-1] += gx
+        diag[:, :-1, :] += gy
+        diag[:-1] += gz
+        # Convection boundaries (top of top layer, bottom of bottom).
+        rhs = np.zeros((nz, ny, nx))
+        diag[-1] += self.h_top * area_z
+        rhs[-1] += self.h_top * area_z * self.ambient_c
+        diag[0] += self.h_bottom * area_z
+        rhs[0] += self.h_bottom * area_z * self.ambient_c
+
+        pairs = [(idx[:, :, :-1], idx[:, :, 1:], gx),
+                 (idx[:, :-1, :], idx[:, 1:, :], gy),
+                 (idx[:-1], idx[1:], gz)]
+        a = np.concatenate([p[0].ravel() for p in pairs])
+        b = np.concatenate([p[1].ravel() for p in pairs])
+        g = np.concatenate([p[2].ravel() for p in pairs])
+        rows = np.concatenate([a, b, idx.ravel()])
+        cols = np.concatenate([b, a, idx.ravel()])
+        vals = np.concatenate([-g, -g, diag.ravel()])
+        A = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+        return A, rhs.ravel() + self.q.ravel()
 
     def solve(self) -> ThermalSolution:
         """Assemble and solve the steady-state conduction problem."""
-        n = self.nz * self.ny * self.nx
-        rows: List[int] = []
-        cols: List[int] = []
-        vals: List[float] = []
-        diag = np.zeros(n)
-        rhs = np.zeros(n)
-
-        def couple(a: int, b: int, g: float) -> None:
-            rows.extend([a, b])
-            cols.extend([b, a])
-            vals.extend([-g, -g])
-            diag[a] += g
-            diag[b] += g
-
-        k = self.k
-        for z in range(self.nz):
-            tz = self.dz[z]
-            area_x = self.dy * tz
-            area_y = self.dx * tz
-            area_z = self.dx * self.dy
-            for y in range(self.ny):
-                for x in range(self.nx):
-                    a = self._index(z, y, x)
-                    if x + 1 < self.nx:
-                        kh = _hmean(k[z, y, x], k[z, y, x + 1])
-                        couple(a, a + 1, kh * area_x / self.dx)
-                    if y + 1 < self.ny:
-                        kh = _hmean(k[z, y, x], k[z, y + 1, x])
-                        couple(a, self._index(z, y + 1, x),
-                               kh * area_y / self.dy)
-                    if z + 1 < self.nz:
-                        dz_pair = (tz + self.dz[z + 1]) / 2.0
-                        kh = _hmean(k[z, y, x], k[z + 1, y, x])
-                        couple(a, self._index(z + 1, y, x),
-                               kh * area_z / dz_pair)
-
-        # Convection boundaries (top of top layer, bottom of bottom).
-        area_z = self.dx * self.dy
-        for y in range(self.ny):
-            for x in range(self.nx):
-                top = self._index(self.nz - 1, y, x)
-                diag[top] += self.h_top * area_z
-                rhs[top] += self.h_top * area_z * self.ambient_c
-                bot = self._index(0, y, x)
-                diag[bot] += self.h_bottom * area_z
-                rhs[bot] += self.h_bottom * area_z * self.ambient_c
-
-        rhs += self.q.ravel()
-        for i, d in enumerate(diag):
-            rows.append(i)
-            cols.append(i)
-            vals.append(d)
-        A = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+        A, rhs = self.assemble()
         t = scipy.sparse.linalg.spsolve(A, rhs)
         return ThermalSolution(
             temperature_c=t.reshape(self.nz, self.ny, self.nx),
@@ -193,6 +187,7 @@ class ThermalGrid:
             total_power_w=float(self.q.sum()))
 
 
-def _hmean(a: float, b: float) -> float:
-    """Harmonic mean of two conductivities (series interface)."""
+def _hmean(a, b):
+    """Harmonic mean of two conductivities (series interface);
+    elementwise on arrays."""
     return 2.0 * a * b / (a + b)

@@ -24,7 +24,7 @@ import random
 import numpy as np
 import pytest
 
-import repro.interposer._mazekernel as mazekernel
+import repro._ckernel as ckernel
 import repro.interposer.routing as routing
 from repro.interposer.routing import RoutingGrid
 
@@ -59,7 +59,7 @@ class TestDialKernel:
 
     @pytest.fixture(autouse=True)
     def _need_kernel(self):
-        if mazekernel.load_kernel() is None:
+        if ckernel.load_kernel() is None:
             pytest.skip("no C compiler available — kernel path untestable")
 
     def test_kernel_selected_on_manhattan_grids(self):
@@ -192,7 +192,7 @@ class TestDiagonalKernel:
 
     @pytest.fixture(autouse=True)
     def _need_kernel(self):
-        if mazekernel.load_kernel() is None:
+        if ckernel.load_kernel() is None:
             pytest.skip("no C compiler available — kernel path untestable")
 
     @staticmethod
@@ -294,13 +294,13 @@ class TestCompileGate:
 
     @pytest.fixture
     def no_ccompile(self, monkeypatch):
-        monkeypatch.setenv(mazekernel.ENV_DISABLE, "1")
-        mazekernel._reset_for_tests()
+        monkeypatch.setenv(ckernel.ENV_DISABLE, "1")
+        ckernel._reset_for_tests()
         yield
-        mazekernel._reset_for_tests()  # let later tests re-load it
+        ckernel._reset_for_tests()  # let later tests re-load it
 
     def test_kernel_refuses_to_load(self, no_ccompile):
-        assert mazekernel.load_kernel() is None
+        assert ckernel.load_kernel() is None
 
     def test_scipy_fallback_is_identical(self, no_ccompile):
         rng = random.Random(321)
@@ -340,9 +340,9 @@ class TestCompileGate:
             scipy_counts.append(nodes)
             grids.append((g, src, dst))
         import os
-        os.environ.pop(mazekernel.ENV_DISABLE, None)
-        mazekernel._reset_for_tests()
-        if mazekernel.load_kernel() is None:
+        os.environ.pop(ckernel.ENV_DISABLE, None)
+        ckernel._reset_for_tests()
+        if ckernel.load_kernel() is None:
             pytest.skip("no C compiler available")
         for (g, src, dst), ref_nodes in zip(grids, scipy_counts):
             g._oracle = None  # force a fresh oracle with the kernel

@@ -2,7 +2,7 @@
 
 The acceptance bar for the pulse-response engine: on every design's
 channels, ``simulate_eye`` (auto engine) must match
-``simulate_eye_scalar`` (full trapezoidal stepping) to ≤1e-9 — on the
+``simulate_eye_scalar`` (full trapezoidal stepping, ``tests/oracles``) to ≤1e-9 — on the
 folded envelopes, not just the scalar metrics.
 """
 
@@ -13,8 +13,9 @@ from repro.core.flow import _channels_for
 from repro.interposer.placement import place_dies
 from repro.interposer.routing import route_interposer
 from repro.si.crosstalk import coupled_line_for_spec
-from repro.si.eye import simulate_eye, simulate_eye_scalar
+from repro.si.eye import simulate_eye
 from repro.tech.interposer import IntegrationStyle, get_spec, spec_names
+from tests.oracles.eye import simulate_eye_scalar
 
 
 def _design_channels(name):

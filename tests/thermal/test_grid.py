@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -125,3 +126,37 @@ def test_temperature_linear_in_power(p):
     g2.add_power(1, 2, 6, 2, 6, p)
     rise2 = g2.solve().peak() - 25.0
     assert rise2 == pytest.approx(p * rise1, rel=1e-6)
+
+
+class TestAssemblyMatchesLoop:
+    """The array assembly reproduces the cell-by-cell loop byte for byte."""
+
+    @staticmethod
+    def _random_grid(seed, nz):
+        rng = np.random.default_rng(seed)
+        ny, nx = int(rng.integers(2, 9)), int(rng.integers(2, 9))
+        g = ThermalGrid(nx, ny, list(rng.uniform(5e-6, 800e-6, nz)),
+                        float(rng.uniform(20e-6, 500e-6)),
+                        float(rng.uniform(20e-6, 500e-6)),
+                        ambient_c=float(rng.uniform(15.0, 45.0)))
+        g.k = rng.uniform(0.02, 400.0, (nz, ny, nx))
+        g.q = rng.uniform(0.0, 0.01, (nz, ny, nx))
+        g.h_top = float(rng.uniform(1.0, 2e4))
+        g.h_bottom = float(rng.uniform(1.0, 2e4))
+        return g
+
+    @pytest.mark.parametrize("nz", [1, 2, 5])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_byte_identical_system(self, nz, seed):
+        from tests.oracles.thermal import assemble_loop
+
+        g = self._random_grid(seed, nz)
+        A, rhs = g.assemble()
+        A_ref, rhs_ref = assemble_loop(g)
+        for attr in ("indptr", "indices", "data"):
+            assert getattr(A, attr).tobytes() == \
+                getattr(A_ref, attr).tobytes(), attr
+        assert rhs.tobytes() == rhs_ref.tobytes()
+        t_ref = scipy.sparse.linalg.spsolve(A_ref, rhs_ref)
+        assert g.solve().temperature_c.ravel().tobytes() == \
+            t_ref.tobytes()
